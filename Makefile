@@ -1,5 +1,5 @@
 # Tier-1 verification in one command (see ROADMAP.md).
-.PHONY: all build test check bench-quick chaos linearize membership reads sharding clean
+.PHONY: all build test check bench-quick chaos linearize membership reads sharding wire perfbench-smoke clean
 
 all: build
 
@@ -55,6 +55,16 @@ sharding:
 # with p50/p95/p99); writes BENCH_wire.json.
 wire:
 	dune exec bench/main.exe -- wire
+
+# Benchmark smoke: one short run of the sharded failover workload (4
+# groups, cross-shard 2PC, shard 0's leader killed and restarted).  Fails
+# unless the run's last-line JSON reports "correct": true (atomicity,
+# per-shard replica reconciliation, same-seed determinism across
+# repeats) and "failed": 0.
+perfbench-smoke:
+	python3 perfbench/run.py --workload shard-2pc-failover-sim --seed 1 --seconds 3 --trace 0 \
+	  | tee /dev/stderr | tail -n 1 \
+	  | python3 -c 'import json, sys; r = json.load(sys.stdin); ok = r["correct"] is True and r["failed"] == 0; sys.exit(0 if ok else "perfbench smoke failed: correct=%s failed=%s" % (r["correct"], r["failed"]))'
 
 clean:
 	dune clean

@@ -46,7 +46,8 @@ let pp_violation ppf = function
         shard replica
 
 (** [check ~audits ()] — [audits] is one [(shard, replica, outcomes)] per
-    replica, [outcomes] oldest-first [(txid, committed)].  [prepared] and
+    replica, [outcomes] its [(txid, committed)] resolutions in any order
+    (a txid listed twice is a [Duplicate_resolution]).  [prepared] and
     [locks] are residual-state dumps taken after quiescence; pass them to
     additionally require that every transaction resolved and every lock
     was released. *)

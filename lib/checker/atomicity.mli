@@ -18,10 +18,10 @@ type violation =
 val pp_violation : Format.formatter -> violation -> unit
 
 (** [check ~audits ()] — [audits]: one [(shard, replica, outcomes)] per
-    replica, [outcomes] oldest-first [(txid, committed)]; [prepared] /
-    [locks] are residual dumps taken after quiescence ([(shard, replica,
-    txid, coord)] and [(shard, replica, path, txid)]).  Empty result =
-    invariant holds. *)
+    replica, [outcomes] its [(txid, committed)] resolutions in any order;
+    [prepared] / [locks] are residual dumps taken after quiescence
+    ([(shard, replica, txid, coord)] and [(shard, replica, path, txid)]).
+    Empty result = invariant holds. *)
 val check :
   audits:(int * int * (string * bool) list) list ->
   ?prepared:(int * int * string * int) list ->

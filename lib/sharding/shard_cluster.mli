@@ -49,7 +49,7 @@ val nemesis_target : t -> shard:int -> Nemesis.target
 
 (** {2 Deployment-wide 2PC observations (checker inputs)} *)
 
-(** Resolved outcomes per replica: [(shard, replica, oldest-first
+(** Resolved outcomes per replica: [(shard, replica, txid-sorted
     [(txid, committed)])]. *)
 val audits : t -> (int * int * (string * bool) list) list
 

@@ -3,9 +3,13 @@
     A binary min-heap keyed by [(time, seq)].  The sequence number is a
     monotonically increasing tie-breaker assigned at insertion, so events
     scheduled for the same instant fire in insertion order.  This stable
-    ordering is what makes the whole simulation deterministic. *)
+    ordering is what makes the whole simulation deterministic.
 
-type 'a entry = { time : Sim_time.t; seq : int; payload : 'a }
+    Slots at or past [size] hold the shared constant [Vacant], never a
+    fired event: a stale slot would keep the event's payload (a closure
+    and everything it captured) reachable until the slot is reused. *)
+
+type 'a entry = Vacant | Event of { time : Sim_time.t; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a entry array;
@@ -14,18 +18,20 @@ type 'a t = {
 }
 
 let entry_before a b =
-  a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  match (a, b) with
+  | Event a, Event b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  | _ -> assert false (* slots below [size] hold events *)
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
 
 let length q = q.size
 let is_empty q = q.size = 0
 
-let grow q witness =
+let grow q =
   let capacity = Array.length q.heap in
   if q.size >= capacity then begin
     let new_capacity = Stdlib.max 16 (2 * capacity) in
-    let heap = Array.make new_capacity witness in
+    let heap = Array.make new_capacity Vacant in
     Array.blit q.heap 0 heap 0 q.size;
     q.heap <- heap
   end
@@ -59,27 +65,31 @@ let rec sift_down q i =
 (** [push q ~time payload] inserts an event; events with equal time pop in
     insertion order. *)
 let push q ~time payload =
-  let e = { time; seq = q.next_seq; payload } in
+  let e = Event { time; seq = q.next_seq; payload } in
   q.next_seq <- q.next_seq + 1;
-  grow q e;
+  grow q;
   q.heap.(q.size) <- e;
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
+let peek_time q =
+  if q.size = 0 then None
+  else match q.heap.(0) with Event e -> Some e.time | Vacant -> assert false
 
 (** [pop q] removes and returns the earliest event as [(time, payload)]. *)
 let pop q =
   if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    Some (top.time, top.payload)
-  end
+  else
+    match q.heap.(0) with
+    | Vacant -> assert false
+    | Event top ->
+        q.size <- q.size - 1;
+        q.heap.(0) <- q.heap.(q.size);
+        q.heap.(q.size) <- Vacant;
+        if q.size > 0 then sift_down q 0;
+        Some (top.time, top.payload)
 
 (** [clear q] drops all pending events. *)
-let clear q = q.size <- 0
+let clear q =
+  Array.fill q.heap 0 q.size Vacant;
+  q.size <- 0

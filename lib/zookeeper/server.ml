@@ -172,9 +172,10 @@ type t = {
       (** txids with a live in-doubt probe chain; replica-local, keeps
           [arm_status_probe] from stacking timers per txid *)
   decisions : (string, bool) Hashtbl.t;  (** txid -> committed; replicated *)
-  mutable txn_audit : (string * bool) list;
-      (** resolve outcomes, newest first; replicated — the atomicity
-          checker's evidence *)
+  resolutions : (string, bool) Hashtbl.t;
+      (** txid -> committed, one binding per resolve ([Hashtbl.add], so a
+          second resolution of a txid stays visible); replicated — the
+          atomicity checker's evidence *)
   coord_rounds : (string, coord_round) Hashtbl.t;  (** leader-volatile *)
   spec_locks : (string, string) Hashtbl.t;
       (** locks of our own proposed-but-unapplied [Tprep]s; leader-volatile *)
@@ -205,7 +206,13 @@ let snapshots_skipped t = t.snap_skipped
 let snapshot_installs t = t.snap_installs
 let session_exists t session = Hashtbl.mem t.sessions session
 let shard_id t = t.shard_id
-let txn_audit t = List.rev t.txn_audit
+(* Every binding of [tbl], duplicates included, in no fixed order. *)
+let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+(* Sorted by txid, so equal tables give equal lists whatever their
+   insertion history. *)
+let txn_audit t = List.sort compare (bindings t.resolutions)
+let audited t txid = Hashtbl.mem t.resolutions txid
 let decided t txid = Hashtbl.find_opt t.decisions txid
 
 let prepared_txns t =
@@ -361,8 +368,6 @@ let release_txn_locks t txid ops =
   in
   List.iter (Hashtbl.remove t.spec_locks) mine
 
-let audited t txid = List.mem_assoc txid t.txn_audit
-
 (** In-doubt participant loop: while [txid] stays prepared, the current
     leader of this shard periodically asks the coordinator shard for the
     outcome.  The chain is armed on every replica when the [Tprep]
@@ -490,7 +495,7 @@ let rec apply_op t op =
           Hashtbl.remove t.prepared txid;
           Hashtbl.remove t.proposed_resolves txid;
           release_txn_locks t txid ops;
-          t.txn_audit <- (txid, commit) :: t.txn_audit;
+          Hashtbl.add t.resolutions txid commit;
           if commit then
             List.iter
               (fun op ->
@@ -518,7 +523,7 @@ type snapshot = {
   snap_locks : (string * string) list;  (** 2PC path locks (§6j) *)
   snap_prepared : (string * (int * Two_pc.wop list)) list;
   snap_decisions : (string * bool) list;
-  snap_audit : (string * bool) list;  (** oldest first *)
+  snap_resolutions : (string * bool) list;
 }
 
 (* Snapshot blobs cross the wire and are re-read by other replicas (and,
@@ -562,65 +567,7 @@ let snapshot_to_wire s =
       List
         (List.map
            (fun (txid, commit) -> List [ Str txid; bool_ commit ])
-           s.snap_audit) ]
-
-let snapshot_of_wire w =
-  let open Wire in
-  let ( let* ) = Result.bind in
-  match w with
-  | List [ tree; sessions; blocked; locks; prepared; decisions; audit ] ->
-      let* snap_tree = Wire_format.portable_of_wire tree in
-      let* snap_sessions =
-        map_list
-          (function
-            | List [ Int session; Int client_addr; Int owner_replica ] ->
-                Ok (session, { client_addr; owner_replica })
-            | _ -> Error "bad session entry")
-          sessions
-      in
-      let* snap_blocked =
-        map_list
-          (function
-            | List [ Str path; waiters ] ->
-                let* waiters =
-                  map_list
-                    (function
-                      | List [ Int s; Int o; Int x ] -> Ok (s, o, x)
-                      | _ -> Error "bad blocked waiter")
-                    waiters
-                in
-                Ok (path, waiters)
-            | _ -> Error "bad blocked entry")
-          blocked
-      in
-      let* snap_locks =
-        map_list
-          (function
-            | List [ Str path; Str txid ] -> Ok (path, txid)
-            | _ -> Error "bad lock entry")
-          locks
-      in
-      let* snap_prepared =
-        map_list
-          (function
-            | List [ Str txid; Int coord; ops ] ->
-                let* ops = map_list Two_pc.wop_of_wire ops in
-                Ok (txid, (coord, ops))
-            | _ -> Error "bad prepared entry")
-          prepared
-      in
-      let decided_entry = function
-        | List [ Str txid; commit ] ->
-            let* commit = to_bool commit in
-            Ok (txid, commit)
-        | _ -> Error "bad decision entry"
-      in
-      let* snap_decisions = map_list decided_entry decisions in
-      let* snap_audit = map_list decided_entry audit in
-      Ok
-        { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
-          snap_decisions; snap_audit }
-  | _ -> Error "bad snapshot"
+           s.snap_resolutions) ]
 
 (* Streaming snapshot writer, byte-identical to [snapshot_to_wire] —
    compaction serializes a 10k-node tree without building the Wire.t
@@ -674,8 +621,48 @@ let write_snapshot w s =
     W.end_list w
   in
   W.list w decided_entry s.snap_decisions;
-  W.list w decided_entry s.snap_audit;
+  W.list w decided_entry s.snap_resolutions;
   W.end_list w
+
+(* Streaming reader for {!write_snapshot}'s frames.  Pure: it builds the
+   whole [snapshot] value (or fails) without touching any replica. *)
+let read_snapshot r =
+  let module R = Wire.Reader in
+  let framed f r =
+    R.begin_list r;
+    let v = f r in
+    R.end_list r;
+    v
+  in
+  let pair a b =
+    framed (fun r ->
+        let x = a r in
+        (x, b r))
+  in
+  let int3 r =
+    let a = R.int r in
+    let b = R.int r in
+    (a, b, R.int r)
+  in
+  R.begin_list r;
+  let snap_tree = Wire_format.read_portable r in
+  let snap_sessions =
+    R.list r (framed int3)
+    |> List.map (fun (session, client_addr, owner_replica) ->
+           (session, { client_addr; owner_replica }))
+  in
+  let snap_blocked = R.list r (pair R.str (fun r -> R.list r (framed int3))) in
+  let snap_locks = R.list r (pair R.str R.str) in
+  let snap_prepared =
+    R.list r (pair R.str (fun r ->
+        let coord = R.int r in
+        (coord, R.list r Two_pc.read_wop)))
+  in
+  let snap_decisions = R.list r (pair R.str R.bool) in
+  let snap_resolutions = R.list r (pair R.str R.bool) in
+  R.end_list r;
+  { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
+    snap_decisions; snap_resolutions }
 
 (** Capture the replica's whole replicated state (tree, sessions, parked
     blocking calls).  Must correspond exactly to the delivered prefix —
@@ -702,16 +689,18 @@ let snapshot_state t =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let sorted_of_tbl tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    List.sort (fun (a, _) (b, _) -> String.compare a b) (bindings tbl)
   in
   let snap_locks = sorted_of_tbl t.locks in
   let snap_prepared = sorted_of_tbl t.prepared in
-  let snap_decisions = sorted_of_tbl t.decisions in
-  let snap_audit = List.rev t.txn_audit in
+  (* the two history-long tables are copied unsorted; only a forced
+     serialization pays for the sort *)
+  let decisions = bindings t.decisions in
+  let resolutions = bindings t.resolutions in
   fun snap_tree ->
     { snap_tree; snap_sessions; snap_blocked; snap_locks; snap_prepared;
-      snap_decisions; snap_audit }
+      snap_decisions = List.sort compare decisions;
+      snap_resolutions = List.sort compare resolutions }
 
 let capture_snapshot t =
   (match t.snap_image with Some h -> Data_tree.release h | None -> ());
@@ -733,7 +722,7 @@ let snapshot_bytes_tree t =
     before touching any state, so a corrupt or truncated blob leaves the
     replica exactly as it was and the transfer layer can re-request. *)
 let install_snapshot t blob =
-  match Result.bind (Wire.decode blob) snapshot_of_wire with
+  match Wire.Reader.run blob read_snapshot with
   | Error _ as e -> e
   | Ok snap ->
       Data_tree.import_portable t.tree snap.snap_tree;
@@ -755,7 +744,10 @@ let install_snapshot t blob =
       List.iter
         (fun (k, v) -> Hashtbl.replace t.decisions k v)
         snap.snap_decisions;
-      t.txn_audit <- List.rev snap.snap_audit;
+      Hashtbl.reset t.resolutions;
+      List.iter
+        (fun (k, v) -> Hashtbl.add t.resolutions k v)
+        snap.snap_resolutions;
       t.snap_installs <- t.snap_installs + 1;
       (* the installed blob puts us exactly at a snapshot horizon: restart
          the interval so we do not immediately re-capture state we just
@@ -966,7 +958,7 @@ let handle_prepare t ~txid ~coord ops =
     (* already resolved here: re-tell the coordinator the final state *)
     shard_send_frame t coord
       (Two_pc.Prepare_ack
-         { txid; shard = t.shard_id; ok = List.assoc txid t.txn_audit })
+         { txid; shard = t.shard_id; ok = Hashtbl.find t.resolutions txid })
   else if Hashtbl.mem t.prepared txid then
     shard_send_frame t coord
       (Two_pc.Prepare_ack { txid; shard = t.shard_id; ok = true })
@@ -1494,7 +1486,7 @@ let create ?(config = default_config) ?zab_config ?initial_leader
       prepared = Hashtbl.create 16;
       probing = Hashtbl.create 16;
       decisions = Hashtbl.create 16;
-      txn_audit = [];
+      resolutions = Hashtbl.create 16;
       coord_rounds = Hashtbl.create 16;
       spec_locks = Hashtbl.create 16;
       proposed_preps = Hashtbl.create 16;

@@ -193,9 +193,14 @@ val shard_id : t -> int
     sender's retry / in-doubt inquiry loop find the new leader. *)
 val handle_shard_frame : t -> Two_pc.frame -> unit
 
-(** Resolved cross-shard outcomes on this replica, oldest first — the
-    atomicity checker's observation stream. *)
+(** Resolved cross-shard outcomes on this replica, sorted by txid — the
+    atomicity checker's observation stream.  A txid resolved twice
+    appears twice. *)
 val txn_audit : t -> (string * bool) list
+
+(** Whether [txid] has resolved on this replica (an O(1) lookup in the
+    replicated resolution table). *)
+val audited : t -> string -> bool
 
 (** Replicated coordinator decision for [txid], if one was logged here. *)
 val decided : t -> string -> bool option

@@ -1290,6 +1290,109 @@ let test_2pc_participant_partition_presumed_abort () =
       Alcotest.(check bool) "nothing applied on shard 1" true
         (nowhere cluster 1 "/s1/y"))
 
+(* A transaction that already resolved on a participant stays resolved:
+   a late duplicate [Prepare] is answered from the resolution table with
+   the recorded outcome, and a late duplicate [Tprep] record neither
+   re-locks nor re-parks its writes.  The table also survives a snapshot
+   install onto a fresh replica. *)
+let test_2pc_late_duplicate_prepare () =
+  in_2pc_cluster ~seed:19 (fun cluster ->
+      let sim = Shard_cluster.sim cluster in
+      let s = Shard_session.connect cluster in
+      (match Shard_session.create_node s "/s0" "" with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "root /s0: %a" Zerror.pp e);
+      (match Shard_session.create_node s "/s1" "" with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "root /s1: %a" Zerror.pp e);
+      (match
+         Shard_session.multi s
+           [
+             Two_pc.Wcreate { path = "/s0/x"; data = "l" };
+             Two_pc.Wcreate { path = "/s1/y"; data = "r" };
+           ]
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "cross-shard multi: %a" Zerror.pp e);
+      let participants = Shard_cluster.servers cluster 1 in
+      wait_until sim ~step_ms:10 ~deadline_ms:5_000 "participant resolution"
+        (fun () ->
+          Array.for_all (fun srv -> Zserver.txn_audit srv <> []) participants);
+      let leader =
+        match Shard_cluster.shard_leader cluster 1 with
+        | Some l -> l
+        | None -> Alcotest.fail "shard 1 has no leader"
+      in
+      let txid =
+        match Zserver.txn_audit leader with
+        | [ (txid, true) ] -> txid
+        | _ -> Alcotest.fail "expected one committed resolution"
+      in
+      (* tap the participant leader's inter-shard sends *)
+      let sent = ref [] in
+      let net = Shard_cluster.ishard_net cluster in
+      Zserver.set_sharding leader ~shard_id:1
+        ~route:(Shard_map.route (Shard_cluster.map cluster))
+        ~send:(fun dst frame ->
+          sent := (dst, frame) :: !sent;
+          Net.send net ~src:1 ~dst ~size:(Two_pc.frame_size frame) frame);
+      let late = [ Two_pc.Wset { path = "/s1/y"; data = "late" } ] in
+      Zserver.handle_shard_frame leader
+        (Two_pc.Prepare { txid; coord = 0; participants = [ 0; 1 ]; ops = late });
+      (match !sent with
+      | [ (0, Two_pc.Prepare_ack { txid = t; shard = 1; ok = true }) ]
+        when String.equal t txid -> ()
+      | _ -> Alcotest.fail "late prepare not answered with the recorded commit");
+      Zserver.propose_internal leader [ Edc_zookeeper.Txn.Tprep { txid; coord = 0; ops = late } ];
+      Proc.sleep sim (Sim_time.sec 1);
+      Array.iter
+        (fun srv ->
+          Alcotest.(check (list (pair string string)))
+            "late prepare locks nothing" [] (Zserver.locked_paths srv);
+          Alcotest.(check (list (pair string int)))
+            "late prepare parks nothing" [] (Zserver.prepared_txns srv);
+          Alcotest.(check (list (pair string bool)))
+            "resolved once" [ (txid, true) ] (Zserver.txn_audit srv);
+          match Edc_zookeeper.Data_tree.get_data (Zserver.tree srv) "/s1/y" with
+          | Ok (data, _) -> Alcotest.(check string) "committed data kept" "r" data
+          | Error _ -> Alcotest.fail "/s1/y missing")
+        participants;
+      (* the resolution table rides the snapshot onto a fresh replica *)
+      let fresh =
+        (Edc_zookeeper.Cluster.servers
+           (Edc_zookeeper.Cluster.create (Sim.create ~seed:20 ()))).(0)
+      in
+      (match Zserver.install_snapshot fresh (Zserver.snapshot_bytes leader) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot install: %s" e);
+      Alcotest.(check (list (pair string bool)))
+        "resolution table installed" (Zserver.txn_audit leader)
+        (Zserver.txn_audit fresh);
+      Alcotest.(check bool) "audited after install" true
+        (Zserver.audited fresh txid);
+      (* a second resolution of the same txid stays visible to the
+         checker: duplicate the blob's last resolution entry *)
+      let doubled =
+        match Edc_wire.Wire.decode (Zserver.snapshot_bytes leader) with
+        | Ok (Edc_wire.Wire.List fields) -> (
+            match List.rev fields with
+            | Edc_wire.Wire.List [ entry ] :: rest ->
+                Edc_wire.Wire.encode
+                  (Edc_wire.Wire.List
+                     (List.rev (Edc_wire.Wire.List [ entry; entry ] :: rest)))
+            | _ -> Alcotest.fail "expected one resolution entry")
+        | _ -> Alcotest.fail "snapshot blob is not a list"
+      in
+      (match Zserver.install_snapshot fresh doubled with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "doubled snapshot install: %s" e);
+      match
+        Atomicity.check ~audits:[ (1, 0, Zserver.txn_audit fresh) ] ()
+      with
+      | [ Atomicity.Duplicate_resolution { txid = t; _ } ]
+        when String.equal t txid -> ()
+      | _ -> Alcotest.fail "duplicate resolution not reported")
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1370,5 +1473,7 @@ let () =
             test_2pc_coordinator_crash_after_commit_record;
           Alcotest.test_case "participant partition presumed abort" `Quick
             test_2pc_participant_partition_presumed_abort;
+          Alcotest.test_case "late duplicate prepare after resolution" `Quick
+            test_2pc_late_duplicate_prepare;
         ] );
     ]

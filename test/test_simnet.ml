@@ -65,6 +65,35 @@ let test_queue_clear () =
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check (option (pair int unit))) "pop none" None (Event_queue.pop q)
 
+(* A fired (or cleared) event must not stay reachable through the slot
+   it vacated: each payload is only weakly held by the test, so after a
+   full major GC it must be gone while the queue itself is still live.
+   Twenty pushes force a [grow], covering the resized array's spare
+   slots too. *)
+let test_queue_releases_popped () =
+  let q = Event_queue.create () in
+  let n = 20 in
+  let weak = Weak.create n in
+  let[@inline never] fill () =
+    for i = 0 to n - 1 do
+      let payload = Bytes.make 16 (Char.chr (65 + i)) in
+      Weak.set weak i (Some payload);
+      Event_queue.push q ~time:(n - i) payload
+    done
+  in
+  let live () = List.length (List.filter (Weak.check weak) (List.init n Fun.id)) in
+  fill ();
+  for _ = 1 to n / 2 do
+    ignore (Sys.opaque_identity (Event_queue.pop q))
+  done;
+  Gc.full_major ();
+  Alcotest.(check int) "popped payloads collected, pending ones kept" (n / 2)
+    (live ());
+  Event_queue.clear q;
+  Gc.full_major ();
+  Alcotest.(check int) "cleared payloads collected" 0 (live ());
+  Alcotest.(check bool) "queue still live" true (Event_queue.is_empty q)
+
 let prop_queue_sorted =
   QCheck.Test.make ~name:"event_queue pops in nondecreasing time order"
     ~count:200
@@ -499,6 +528,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_queue_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "clear" `Quick test_queue_clear;
+          Alcotest.test_case "releases popped payloads" `Quick
+            test_queue_releases_popped;
           qc prop_queue_sorted;
         ] );
       ( "rng",

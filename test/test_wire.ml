@@ -705,7 +705,9 @@ let run_until sim ~step ~limit pred =
   in
   go ()
 
-let test_snapshot_corrupt_blob_rejected () =
+(* A replica of an unsharded deployment: tree, sessions, empty 2PC
+   tables. *)
+let unsharded_snapshot_source () =
   let sim = Sim.create ~seed:11 () in
   let cluster = Zk.Cluster.create sim in
   Proc.spawn sim (fun () ->
@@ -716,37 +718,85 @@ let test_snapshot_corrupt_blob_rejected () =
         ignore (Zk.Client.set_data c "/a" (string_of_int i))
       done);
   Sim.run ~until:(Sim_time.sec 2) sim;
-  let s0 = (Zk.Cluster.servers cluster).(0) in
-  let blob = Zk.Server.snapshot_bytes s0 in
-  Alcotest.(check bool) "capture is deterministic" true
-    (String.equal blob (Zk.Server.snapshot_bytes s0));
-  (* the streaming snapshot writer (§6g) and the tree-building oracle
-     must produce the same bytes — snapshot digests stay comparable
-     across the two paths *)
-  Alcotest.(check bool) "streaming snapshot writer byte-identical to tree oracle"
-    true
-    (String.equal blob (Zk.Server.snapshot_bytes_tree s0));
-  (* victim replica in a second deployment; corrupt installs must leave
-     its state byte-identical *)
-  let vsim = Sim.create ~seed:12 () in
-  let victim = (Zk.Cluster.servers (Zk.Cluster.create vsim)).(0) in
+  (Zk.Cluster.servers cluster).(0)
+
+(* The coordinator-shard leader of a two-shard deployment holding every
+   2PC table at once: one cross-shard multi committed (decision and
+   resolution entries) and a second pinned in doubt by a cut
+   participant-to-coordinator link (lock and prepared entries). *)
+let sharded_snapshot_source () =
+  let module Shard_map = Edc_sharding.Shard_map in
+  let module Shard_cluster = Edc_sharding.Shard_cluster in
+  let module Shard_session = Edc_sharding.Shard_session in
+  let sim = Sim.create ~seed:11 () in
+  let map =
+    Shard_map.v
+      ~rules:
+        [ { Shard_map.prefix = "/s0"; shard = 0 };
+          { Shard_map.prefix = "/s1"; shard = 1 } ]
+      2
+  in
+  let cluster = Shard_cluster.create ~map sim in
+  let multi s k =
+    Shard_session.multi s
+      [ Edc_replication.Two_pc.Wcreate { path = "/s0/" ^ k; data = k };
+        Edc_replication.Two_pc.Wcreate { path = "/s1/" ^ k; data = k } ]
+  in
+  let committed = ref false in
+  Proc.spawn sim (fun () ->
+      let s = Shard_session.connect cluster in
+      ignore (Shard_session.create_node s "/s0" "");
+      ignore (Shard_session.create_node s "/s1" "");
+      committed := multi s "a" = Ok ();
+      Net.cut_link_one_way (Shard_cluster.ishard_net cluster) ~src:1 ~dst:0;
+      ignore (multi s "b"));
+  let leader () = Shard_cluster.shard_leader cluster 0 in
+  let holds_all srv =
+    Zk.Server.locked_paths srv <> []
+    && Zk.Server.prepared_txns srv <> []
+    && Zk.Server.txn_audit srv <> []
+  in
+  if
+    not
+      (run_until sim ~step:(Sim_time.ms 5) ~limit:(Sim_time.sec 5) (fun () ->
+           !committed && Option.fold ~none:false ~some:holds_all (leader ())))
+  then Alcotest.fail "sharded replica never held every 2PC table";
+  let srv = Option.get (leader ()) in
+  (match Zk.Server.txn_audit srv with
+  | [ (txid, true) ] ->
+      Alcotest.(check (option bool)) "decision entry" (Some true)
+        (Zk.Server.decided srv txid)
+  | _ -> Alcotest.fail "expected one committed resolution");
+  srv
+
+(* Every truncation and every single-byte flip of [blob] against a
+   victim replica: never raises, and a rejected install leaves the
+   victim's state byte-identical. *)
+let corrupt_sweep what blob =
+  let victim =
+    (Zk.Cluster.servers (Zk.Cluster.create (Sim.create ~seed:12 ()))).(0)
+  in
   let baseline () = Zk.Server.snapshot_bytes victim in
   let before = baseline () in
   (* the intact blob is installable — the corruptions below fail for
-     their corruption, not for some unrelated reason *)
+     their corruption, not for some unrelated reason — and capturing
+     again reproduces it byte for byte: the streaming reader loses
+     nothing the writer put in *)
   (match Zk.Server.install_snapshot victim blob with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "intact blob rejected: %s" e);
+  | Error e -> Alcotest.failf "%s: intact blob rejected: %s" what e);
+  Alcotest.(check bool) (what ^ ": install then capture, same bytes") true
+    (String.equal blob (baseline ()));
   (match Zk.Server.install_snapshot victim before with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "restore rejected: %s" e);
+  | Error e -> Alcotest.failf "%s: restore rejected: %s" what e);
   (* every truncation: clean Error, no state change *)
   for k = 0 to String.length blob - 1 do
     match Zk.Server.install_snapshot victim (String.sub blob 0 k) with
     | Error _ -> ()
-    | Ok () -> Alcotest.failf "truncation at %d installed" k
+    | Ok () -> Alcotest.failf "%s: truncation at %d installed" what k
   done;
-  Alcotest.(check bool) "state untouched after truncations" true
+  Alcotest.(check bool) (what ^ ": state untouched after truncations") true
     (String.equal before (baseline ()));
   (* every single-byte corruption: never raises; on Error the state is
      untouched (a flip inside a data payload can still be a valid blob) *)
@@ -762,9 +812,27 @@ let test_snapshot_corrupt_blob_rejected () =
       | Error _ ->
           incr rejected;
           if not (String.equal before (baseline ())) then
-            Alcotest.failf "rejected install at byte %d mutated state" i)
+            Alcotest.failf "%s: rejected install at byte %d mutated state" what i)
     blob;
-  Alcotest.(check bool) "some corruptions structurally rejected" true (!rejected > 0)
+  Alcotest.(check bool) (what ^ ": some corruptions structurally rejected")
+    true (!rejected > 0)
+
+let test_snapshot_corrupt_blob_rejected () =
+  List.iter
+    (fun (what, src) ->
+      let blob = Zk.Server.snapshot_bytes src in
+      Alcotest.(check bool) (what ^ ": capture is deterministic") true
+        (String.equal blob (Zk.Server.snapshot_bytes src));
+      (* the streaming snapshot writer (§6g) and the tree-building oracle
+         must produce the same bytes — snapshot digests stay comparable
+         across the two paths *)
+      Alcotest.(check bool)
+        (what ^ ": streaming snapshot writer byte-identical to tree oracle")
+        true
+        (String.equal blob (Zk.Server.snapshot_bytes_tree src));
+      corrupt_sweep what blob)
+    [ ("unsharded", unsharded_snapshot_source ());
+      ("sharded", sharded_snapshot_source ()) ]
 
 (* a follower whose install hook rejects the blob re-requests the
    transfer instead of dying; once the hook accepts, it catches up *)
