@@ -57,14 +57,19 @@ wire:
 	dune exec bench/main.exe -- wire
 
 # Benchmark smoke: one short run of the sharded failover workload (4
-# groups, cross-shard 2PC, shard 0's leader killed and restarted).  Fails
-# unless the run's last-line JSON reports "correct": true (atomicity,
-# per-shard replica reconciliation, same-seed determinism across
-# repeats) and "failed": 0.
+# groups, cross-shard 2PC, shard 0's leader killed and restarted) and one
+# of the EZK counter write path over loopback TCP (pipelined writes
+# group-committed into shared Zab proposals).  Fails unless each run's
+# last-line JSON reports "correct": true (atomicity, per-shard replica
+# reconciliation and same-seed determinism; an exact counter) and
+# "failed": 0.
+PERFBENCH_OK = python3 -c 'import json, sys; r = json.load(sys.stdin); ok = r["correct"] is True and r["failed"] == 0; sys.exit(0 if ok else "perfbench smoke failed: correct=%s failed=%s" % (r["correct"], r["failed"]))'
+
 perfbench-smoke:
 	python3 perfbench/run.py --workload shard-2pc-failover-sim --seed 1 --seconds 3 --trace 0 \
-	  | tee /dev/stderr | tail -n 1 \
-	  | python3 -c 'import json, sys; r = json.load(sys.stdin); ok = r["correct"] is True and r["failed"] == 0; sys.exit(0 if ok else "perfbench smoke failed: correct=%s failed=%s" % (r["correct"], r["failed"]))'
+	  | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+	python3 perfbench/run.py --workload ezk-tcp-write --seed 1 --seconds 3 --trace 0 \
+	  | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 
 clean:
 	dune clean

@@ -17,8 +17,12 @@
     arrivals pile up and ride the *next* batch — which is exactly how group
     commit self-clocks under load without any tuned delay.
 
-    With [sync_cost = 0] and [max_delay = 0] every [add] flushes a
-    singleton batch synchronously, making the batcher a no-op: the
+    [add] itself only ever closes a full batch.  A batch closes on time
+    in a scheduled event at the instant its oldest item's wait expires, so
+    with [max_delay = 0] the batch closes when the current virtual instant
+    ends: every item added at that instant rides one proposal, and no
+    added latency is modelled.  [max_batch = 1] ([off]) makes every [add]
+    flush a singleton synchronously, and the batcher is a no-op: the
     unbatched protocols behave bit-for-bit as before. *)
 
 open Edc_simnet
@@ -96,17 +100,20 @@ let take_batch t =
   if rest <> [] then t.oldest <- Sim.now t.sim;
   batch
 
-let rec maybe_flush t =
+(* [~arrival]: called from [add], which closes only a full batch; the
+   timer and sync-completion events also close a batch whose wait is up. *)
+let rec maybe_flush ~arrival t =
   if (not t.syncing) && t.n_pending > 0 then begin
     let due =
       t.n_pending >= t.config.max_batch
-      || Sim_time.(Sim_time.add t.oldest t.config.max_delay <= Sim.now t.sim)
+      || (not arrival)
+         && Sim_time.(Sim_time.add t.oldest t.config.max_delay <= Sim.now t.sim)
     in
     if due then begin
       let batch = take_batch t in
       if Sim_time.(t.config.sync_cost <= Sim_time.zero) then begin
         t.flush batch;
-        maybe_flush t
+        maybe_flush ~arrival t
       end
       else begin
         t.syncing <- true;
@@ -115,7 +122,7 @@ let rec maybe_flush t =
             if gen = t.generation then begin
               t.syncing <- false;
               t.flush batch;
-              maybe_flush t
+              maybe_flush ~arrival:false t
             end)
       end
     end
@@ -127,7 +134,7 @@ let rec maybe_flush t =
         (fun () ->
           if gen = t.generation then begin
             t.timer_armed <- false;
-            maybe_flush t
+            maybe_flush ~arrival:false t
           end)
     end
   end
@@ -136,4 +143,4 @@ let add t x =
   if t.n_pending = 0 then t.oldest <- Sim.now t.sim;
   t.pending <- x :: t.pending;
   t.n_pending <- t.n_pending + 1;
-  maybe_flush t
+  maybe_flush ~arrival:true t

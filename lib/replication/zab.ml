@@ -173,7 +173,10 @@ type config = {
   election_stagger : Sim_time.t;
   batch : Batching.config;
       (** leader-side group commit: proposals accumulated while the
-          previous batch syncs ride the next one *)
+          previous batch syncs ride the next one.  The default closes a
+          batch (at most 32 entries) when the current virtual instant
+          ends, so proposals made at one instant share one [Propose];
+          [Batching.off] proposes each entry alone, synchronously. *)
   unsafe_skip_log_matching : bool;
       (** TEST ONLY: disable the follower-side log-matching checks below,
           resurrecting the divergent-tail double-apply bug for the
@@ -219,7 +222,7 @@ let default_config =
     heartbeat_interval = Sim_time.ms 50;
     election_timeout = Sim_time.ms 200;
     election_stagger = Sim_time.ms 40;
-    batch = Batching.off;
+    batch = Batching.group_commit ();
     unsafe_skip_log_matching = false;
     unsafe_single_step_reconfig = false;
     snapshot_chunk_size = 8192;
@@ -714,8 +717,8 @@ let set_role t role =
 
 (* [propose_config], [config_committed] and [maybe_promote] recurse
    through [deliver_ready]: committing a joint entry makes the leader
-   propose the final one, and (with batching off) Batching.add flushes
-   synchronously into the append/commit path. *)
+   propose the final one, and Batching.add can flush synchronously into
+   the append/commit path (always with [Batching.off]). *)
 let rec deliver_ready t =
   while t.delivered < t.committed do
     let e = log_get t t.delivered in
@@ -881,8 +884,10 @@ let commit_batch t items =
   end
 
 (** [propose t payload] — leader only — assigns the next zxid and hands the
-    payload to the group-commit batcher (with batching off it is appended
-    and disseminated synchronously, exactly as without a batcher).  Returns
+    payload to the group-commit batcher.  With the default batcher it is
+    appended and disseminated when the current virtual instant ends,
+    together with every other proposal of that instant; with
+    [Batching.off], synchronously, exactly as without a batcher.  Returns
     the assigned zxid, or [None] if this replica is not the leader. *)
 let propose t payload =
   if (not t.alive) || t.role <> Leader then None

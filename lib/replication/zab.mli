@@ -119,8 +119,10 @@ type config = {
   election_timeout : Sim_time.t;
   election_stagger : Sim_time.t;  (** per-replica deterministic stagger *)
   batch : Batching.config;
-      (** leader-side group commit; {!Batching.off} reproduces unbatched
-          behaviour exactly *)
+      (** leader-side group commit.  The default,
+          [Batching.group_commit ()], proposes everything proposed at one
+          virtual instant as one [Propose] (at most 32 entries);
+          {!Batching.off} reproduces unbatched behaviour exactly *)
   unsafe_skip_log_matching : bool;
       (** TEST ONLY — resurrects a historical bug: followers accept
           proposals without checking [prev_zxid]/overlap agreement, so a
@@ -195,9 +197,10 @@ val set_on_role_change : 'p t -> (role -> unit) -> unit
 val start : 'p t -> unit
 
 (** [propose t payload] — leader only; assigns a zxid and enqueues the
-    payload on the group-commit batcher (with batching off it is
-    disseminated synchronously).  Returns the assigned zxid, [None] if
-    this replica does not lead. *)
+    payload on the group-commit batcher, which disseminates it when the
+    current virtual instant ends, with every other proposal of that
+    instant (with {!Batching.off}: synchronously, alone).  Returns the
+    assigned zxid, [None] if this replica does not lead. *)
 val propose : 'p t -> 'p -> zxid option
 
 (** [remove_server t ~id] — leader only; starts the joint-consensus

@@ -904,6 +904,69 @@ let test_batching_reset_drops_pending () =
     !flushed;
   Alcotest.(check int) "nothing pending" 0 (Batching.pending b)
 
+(* A zero [max_delay] closes the batch when the current virtual instant
+   ends.  [timed_batcher] records each flush with its instant. *)
+
+let timed_batcher config =
+  let sim = Sim.create ~seed:3 () in
+  let flushed = ref [] in
+  let b =
+    Batching.create ~sim ~config ~flush:(fun xs ->
+        flushed := !flushed @ [ (Sim_time.to_ns (Sim.now sim), xs) ])
+  in
+  (sim, b, flushed)
+
+let flushes = Alcotest.(list (pair int (list int)))
+
+let test_batching_same_instant () =
+  let sim, b, flushed = timed_batcher (Batching.group_commit ()) in
+  Sim.schedule sim ~after:(Sim_time.ms 1) (fun () ->
+      List.iter (Batching.add b) [ 1; 2; 3 ];
+      Alcotest.(check int) "held until the instant ends" 3 (Batching.pending b));
+  Sim.run sim;
+  Alcotest.check flushes "one flush, arrival order"
+    [ (Sim_time.to_ns (Sim_time.ms 1), [ 1; 2; 3 ]) ]
+    !flushed
+
+let test_batching_distinct_instants () =
+  let sim, b, flushed = timed_batcher (Batching.group_commit ()) in
+  List.iter
+    (fun i -> Sim.schedule sim ~after:(Sim_time.ms i) (fun () -> Batching.add b i))
+    [ 1; 2; 3 ];
+  Sim.run sim;
+  Alcotest.check flushes "one singleton per instant"
+    (List.map (fun i -> (Sim_time.to_ns (Sim_time.ms i), [ i ])) [ 1; 2; 3 ])
+    !flushed
+
+let test_batching_same_instant_overflow () =
+  let sim, b, flushed = timed_batcher (Batching.group_commit ~max_batch:3 ()) in
+  Sim.schedule sim ~after:(Sim_time.ms 1) (fun () ->
+      List.iter (Batching.add b) [ 1; 2; 3; 4; 5; 6; 7 ]);
+  Sim.run sim;
+  let at = Sim_time.to_ns (Sim_time.ms 1) in
+  Alcotest.check flushes "full batches, then the rest, all at that instant"
+    [ (at, [ 1; 2; 3 ]); (at, [ 4; 5; 6 ]); (at, [ 7 ]) ]
+    !flushed
+
+let test_batching_reset_cancels_instant_flush () =
+  let sim, b, flushed = timed_batcher (Batching.group_commit ()) in
+  Sim.schedule sim ~after:(Sim_time.ms 1) (fun () ->
+      Batching.add b 1;
+      Batching.reset b;
+      Batching.add b 2);
+  Sim.run sim;
+  Alcotest.check flushes "only the item added after the reset"
+    [ (Sim_time.to_ns (Sim_time.ms 1), [ 2 ]) ]
+    !flushed
+
+let test_batching_off_is_synchronous () =
+  let _sim, b, flushed = timed_batcher Batching.off in
+  Batching.add b 1;
+  Batching.add b 2;
+  Alcotest.check flushes "each add flushes a singleton inside add"
+    [ (0, [ 1 ]); (0, [ 2 ]) ]
+    !flushed
+
 (* Batched and unbatched replication runs must end in identical state. *)
 
 let test_zab_batched_equals_unbatched () =
@@ -1450,6 +1513,16 @@ let () =
         [
           Alcotest.test_case "size trigger" `Quick test_batching_size_trigger;
           Alcotest.test_case "delay trigger" `Quick test_batching_delay_trigger;
+          Alcotest.test_case "same-instant adds share a batch" `Quick
+            test_batching_same_instant;
+          Alcotest.test_case "distinct instants flush singletons" `Quick
+            test_batching_distinct_instants;
+          Alcotest.test_case "same-instant overflow splits" `Quick
+            test_batching_same_instant_overflow;
+          Alcotest.test_case "reset cancels end-of-instant flush" `Quick
+            test_batching_reset_cancels_instant_flush;
+          Alcotest.test_case "off flushes inside add" `Quick
+            test_batching_off_is_synchronous;
           Alcotest.test_case "sync self-clocking" `Quick
             test_batching_sync_self_clocking;
           Alcotest.test_case "reset drops pending" `Quick

@@ -916,6 +916,9 @@ let test_follower_rerequests_on_reject () =
 (* End to end over real sockets                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Also the TCP group-commit regression: a burst of pipelined counter
+   increments, all read in the same polls, must share Propose messages
+   (mean entries per Propose > 1) and still count exactly. *)
 let test_tcp_counter_workload () =
   let sim = Sim.create ~seed:31 () in
   (* pid-derived port block so parallel test runners don't collide *)
@@ -924,36 +927,82 @@ let test_tcp_counter_workload () =
     Tcp_transport.create ~sim ~base_port ~encode:Zk.Server_wire.encode
       ~decode:Zk.Server_wire.decode_sub ()
   in
+  let proposals = ref 0 and proposed = ref 0 in
+  let count (m : Zk.Server.wire) =
+    match m with
+    | Zk.Server.Zab_msg (Zab.Propose { entries; _ }) ->
+        incr proposals;
+        proposed := !proposed + List.length entries
+    | _ -> ()
+  in
   let tr = Tcp_transport.transport hub in
+  let tr =
+    {
+      tr with
+      Transport.send =
+        (fun ~src ~dst ~size m ->
+          count m;
+          tr.send ~src ~dst ~size m);
+      send_many =
+        (fun ~src ~dsts ~size m ->
+          count m;
+          tr.send_many ~src ~dsts ~size m);
+    }
+  in
+  (* No modelled CPU cost: over TCP virtual time follows the wall clock,
+     so requests read in one poll are handled at one virtual instant. *)
+  let config =
+    { Zk.Server.default_config with preprocess_cost = Sim_time.zero; read_cost = Sim_time.zero }
+  in
   let replica_ids = [ 0; 1; 2 ] in
   let servers =
     List.map
       (fun id ->
-        Zk.Server.create ~sim ~net:tr ~id ~replica_ids ~initial_leader:0 ())
+        Zk.Server.create ~config ~sim ~net:tr ~id ~replica_ids ~initial_leader:0 ())
       replica_ids
   in
   List.iter Zk.Server.start servers;
-  let increments = 10 in
+  List.iter (fun s -> ignore (Edc_ezk.Ezk.install s : Edc_ezk.Ezk.t)) servers;
+  Edc_ezk.Ezk.bootstrap (List.hd servers);
+  let increments = 10 and pipelined = 256 in
   let client = Zk.Client.create ~sim ~net:tr ~addr:100 ~replica:1 () in
+  let bump = P.Get_data { path = Edc_recipes.Counter.trigger_oid; watch = false } in
   let outcome =
     Proc.async sim (fun () ->
         Zk.Client.connect client;
         match Zk.Client.create_node client "/ctr" "0" with
         | Error e -> Error (Format.asprintf "create: %a" Zk.Zerror.pp e)
         | Ok _ ->
-            let rec bump i =
+            let rec bump_seq i =
               if i > increments then Ok ()
               else
                 match Zk.Client.set_data client "/ctr" (string_of_int i) with
-                | Ok _ -> bump (i + 1)
+                | Ok _ -> bump_seq (i + 1)
                 | Error e -> Error (Format.asprintf "set %d: %a" i Zk.Zerror.pp e)
             in
-            (match bump 1 with
-            | Error _ as e -> e
-            | Ok () -> (
-                match Zk.Client.get_data client "/ctr" with
-                | Ok (v, _) -> Ok v
-                | Error e -> Error (Format.asprintf "get: %a" Zk.Zerror.pp e))))
+            let burst () =
+              match
+                Edc_ezk.Ezk_client.register client Edc_recipes.Counter.program
+              with
+              | Error e -> Error (Format.asprintf "register: %a" Zk.Zerror.pp e)
+              | Ok _ ->
+                  let replies =
+                    List.init pipelined (fun _ -> Zk.Client.request_async client bump)
+                    |> List.map Proc.await
+                  in
+                  if List.for_all (function P.Ext _ -> true | _ -> false) replies
+                  then Ok ()
+                  else Error "an increment failed"
+            in
+            let read_back () =
+              match Zk.Client.get_data client "/ctr" with
+              | Ok (v, _) -> Ok v
+              | Error e -> Error (Format.asprintf "get: %a" Zk.Zerror.pp e)
+            in
+            Result.bind (bump_seq 1) (fun () ->
+                Result.bind (read_back ()) (fun v ->
+                    Result.bind (burst ()) (fun () ->
+                        Result.map (fun w -> (v, w)) (read_back ())))))
   in
   let deadline = Unix.gettimeofday () +. 60. in
   while (not (Proc.is_fulfilled outcome)) && Unix.gettimeofday () < deadline do
@@ -966,12 +1015,19 @@ let test_tcp_counter_workload () =
         (Tcp_transport.frames_received hub)
         (Tcp_transport.decode_errors hub)
   | Some (Error e) -> Alcotest.failf "workload failed: %s" e
-  | Some (Ok v) ->
+  | Some (Ok (v, w)) ->
       Alcotest.(check string) "counter value read back over TCP"
-        (string_of_int increments) v);
+        (string_of_int increments) v;
+      Alcotest.(check string) "pipelined increments counted exactly"
+        (string_of_int (increments + pipelined)) w);
   Alcotest.(check bool) "traffic actually crossed the sockets" true
     (Tcp_transport.frames_received hub > 0 && Tcp_transport.bytes_sent hub > 0);
-  Alcotest.(check int) "no undecodable frames" 0 (Tcp_transport.decode_errors hub)
+  Alcotest.(check int) "no undecodable frames" 0 (Tcp_transport.decode_errors hub);
+  Alcotest.(check bool)
+    (Printf.sprintf "pipelined writes share proposals (%d entries in %d Proposes)"
+       !proposed !proposals)
+    true
+    (!proposed > !proposals)
 
 (* a hub whose peer speaks garbage: decoder errors are counted and
    dropped, the process does not die *)
