@@ -88,10 +88,13 @@ let join ps = List.iter (fun p -> ignore (await p)) ps
 
 (** [await_timeout sim p ~timeout] awaits [p] but gives up after [timeout],
     returning [None].  [p] itself is left untouched and may still be
-    fulfilled later. *)
+    fulfilled later.  When [p] wins, the timeout's timer is cancelled, so
+    it leaves no dead event in the heap. *)
 let await_timeout sim p ~timeout =
   let r = promise sim in
-  Sim.schedule sim ~after:timeout (fun () ->
-      ignore (try_fulfill r None : bool));
-  on_fulfill p (fun v -> ignore (try_fulfill r (Some v) : bool));
+  let timer =
+    Sim.schedule_timer sim ~after:timeout (fun () ->
+        ignore (try_fulfill r None : bool))
+  in
+  on_fulfill p (fun v -> if try_fulfill r (Some v) then Sim.cancel sim timer);
   await r

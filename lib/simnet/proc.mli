@@ -43,5 +43,6 @@ val yield : Sim.t -> unit
 val join : 'a promise list -> unit
 
 (** [await_timeout sim p ~timeout] — [None] on timeout; [p] itself may
-    still resolve later. *)
+    still resolve later.  If [p] resolves first, the timeout's timer is
+    cancelled ({!Sim.cancel}) rather than left to fire as a no-op. *)
 val await_timeout : Sim.t -> 'a promise -> timeout:Sim_time.t -> 'a option

@@ -7,6 +7,9 @@
 
 type t
 
+(** A cancellable scheduled event. *)
+type timer
+
 (** [create ~seed ()] — a fresh simulation; equal seeds give equal runs. *)
 val create : ?seed:int -> unit -> t
 
@@ -25,6 +28,16 @@ val schedule : t -> after:Sim_time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
 val schedule_at : t -> at:Sim_time.t -> (unit -> unit) -> unit
 
+(** [schedule_timer t ~after f] is {!schedule}, returning a handle for
+    {!cancel}. *)
+val schedule_timer : t -> after:Sim_time.t -> (unit -> unit) -> timer
+
+(** [cancel t timer] withdraws [timer]'s event: it never runs, never
+    moves the clock, and leaves {!pending}.  For timeouts that usually do
+    not fire, such as request deadlines.  A no-op once the event has run
+    or was cancelled. *)
+val cancel : t -> timer -> unit
+
 (** [stop t] makes {!run} return after the current event. *)
 val stop : t -> unit
 
@@ -33,8 +46,10 @@ val step : t -> bool
 
 (** [run ?until ?max_events t] drains events in timestamp order.  Stops at
     an empty heap, past [until] (later events stay queued; the clock
-    advances to [until]), after [max_events], or on {!stop}. *)
+    advances to [until]), after [max_events] executed events, or on
+    {!stop}.  Cancelled timers are never run, so they count neither
+    toward [max_events] nor in {!executed_events}. *)
 val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
 
-(** Queued events. *)
+(** Queued live events: cancelled timers are not counted. *)
 val pending : t -> int

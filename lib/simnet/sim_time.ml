@@ -27,8 +27,8 @@ let compare = Int.compare
 let equal = Int.equal
 let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
-let min = Stdlib.min
-let max = Stdlib.max
+let min : t -> t -> t = Int.min
+let max : t -> t -> t = Int.max
 
 (** [scale t f] multiplies a duration by a float factor (used for jitter). *)
 let scale t f = int_of_float (Float.round (float_of_int t *. f))

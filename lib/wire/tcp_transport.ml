@@ -15,7 +15,7 @@ type conn = {
   mutable in_len : int;  (** one past the last received byte *)
 }
 
-type out_conn = { ofd : Unix.file_descr; obuf : Outbuf.t }
+type out_conn = { key : int * int; ofd : Unix.file_descr; obuf : Outbuf.t }
 
 type 'm t = {
   sim : Sim.t;
@@ -23,9 +23,13 @@ type 'm t = {
   encode : 'm -> string;
   decode : string -> pos:int -> len:int -> ('m, string) result;
   handlers : (int, 'm Net.handler) Hashtbl.t;
-  listeners : (int, Unix.file_descr) Hashtbl.t;  (** local addr -> socket *)
+  listeners : (Unix.file_descr, int) Hashtbl.t;  (** socket -> local addr *)
   accepted : (Unix.file_descr, conn) Hashtbl.t;
+  mutable read_fds : Unix.file_descr list;
+      (** listeners and accepted sockets, kept in step with both tables:
+          what {!poll} selects on *)
   outbound : (int * int, out_conn) Hashtbl.t;  (** (src, dst) *)
+  mutable out_conns : out_conn list;  (** [outbound]'s values *)
   mutable n_encodes : int;
   mutable n_decode_errors : int;
   mutable n_send_failures : int;
@@ -43,7 +47,9 @@ let create ~sim ~base_port ~encode ~decode () =
     handlers = Hashtbl.create 16;
     listeners = Hashtbl.create 16;
     accepted = Hashtbl.create 16;
+    read_fds = [];
     outbound = Hashtbl.create 16;
+    out_conns = [];
     n_encodes = 0;
     n_decode_errors = 0;
     n_send_failures = 0;
@@ -60,22 +66,23 @@ let bytes_sent t = t.n_bytes_sent
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
+(* Every address with a handler has a listener: the two are added
+   together here and never removed apart. *)
 let register t addr handler =
-  if not (Hashtbl.mem t.listeners addr) then begin
+  if not (Hashtbl.mem t.handlers addr) then begin
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (loopback (t.base_port + addr));
     Unix.listen fd 64;
-    Hashtbl.replace t.listeners addr fd
+    Hashtbl.replace t.listeners fd addr;
+    t.read_fds <- fd :: t.read_fds
   end;
   Hashtbl.replace t.handlers addr handler
 
-let drop_outbound t key =
-  match Hashtbl.find_opt t.outbound key with
-  | Some oc ->
-      (try Unix.close oc.ofd with Unix.Unix_error _ -> ());
-      Hashtbl.remove t.outbound key
-  | None -> ()
+let drop_outbound t oc =
+  (try Unix.close oc.ofd with Unix.Unix_error _ -> ());
+  Hashtbl.remove t.outbound oc.key;
+  t.out_conns <- List.filter (fun o -> o != oc) t.out_conns
 
 let get_u32 b off =
   (Char.code (Bytes.get b off) lsl 24)
@@ -95,21 +102,22 @@ let write_some fd b off len =
 (* Flush [oc]'s corked bytes.  A partial write retains the unwritten
    suffix inside the Outbuf; a hard error drops the connection and
    everything queued on it (fire-and-forget, like simulated link loss). *)
-let flush_out t key oc =
+let flush_out t oc =
   match Outbuf.flush oc.obuf ~write:(write_some oc.ofd) with
   | n -> t.n_bytes_sent <- t.n_bytes_sent + n
   | exception Unix.Unix_error _ ->
       t.n_send_failures <- t.n_send_failures + 1;
-      drop_outbound t key
+      drop_outbound t oc
 
-let flush_all t =
-  if Hashtbl.length t.outbound > 0 then begin
-    (* snapshot the keys: flush_out may remove entries on error *)
-    let live = Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) t.outbound [] in
-    List.iter
-      (fun (key, oc) -> if Outbuf.pending oc.obuf > 0 then flush_out t key oc)
-      live
-  end
+(* Walks the list [out_conns] held when the flush began: a failed flush
+   replaces [t.out_conns], not the list being walked. *)
+let rec flush_conns t = function
+  | [] -> ()
+  | oc :: rest ->
+      if Outbuf.pending oc.obuf > 0 then flush_out t oc;
+      flush_conns t rest
+
+let flush_all t = flush_conns t t.out_conns
 
 (* If a connection's cork grows past this without a successful flush, we
    try to drain it inline from the send path so memory stays bounded even
@@ -132,8 +140,9 @@ let out_conn t key dst =
         fd
       with
       | fd ->
-          let oc = { ofd = fd; obuf = Outbuf.create () } in
+          let oc = { key; ofd = fd; obuf = Outbuf.create () } in
           Hashtbl.replace t.outbound key oc;
+          t.out_conns <- oc :: t.out_conns;
           Some oc
       | exception Unix.Unix_error _ ->
           t.n_send_failures <- t.n_send_failures + 1;
@@ -150,7 +159,7 @@ let enqueue t ~src ~dst body =
       Outbuf.add_u32 oc.obuf (4 + len);
       Outbuf.add_u32 oc.obuf src;
       Outbuf.add_substring oc.obuf body 0 len;
-      if Outbuf.pending oc.obuf > cork_soft_limit then flush_out t key oc
+      if Outbuf.pending oc.obuf > cork_soft_limit then flush_out t oc
 
 (* Fire-and-forget, like the simulated network: any socket error drops the
    message, closes the connection, and replication-level retransmission
@@ -179,7 +188,8 @@ let transport t =
 
 let close_conn t conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Hashtbl.remove t.accepted conn.fd
+  Hashtbl.remove t.accepted conn.fd;
+  t.read_fds <- List.filter (fun fd -> fd <> conn.fd) t.read_fds
 
 (* Extract every complete frame from [conn]'s buffer and dispatch it.
    Frames are decoded in place from the reassembly buffer (no per-frame
@@ -243,42 +253,29 @@ let read_conn t conn =
       ()
   | exception Unix.Unix_error _ -> close_conn t conn
 
+(* A readable socket: a connection has bytes, or a listener has a
+   connection to accept and attach to the listening address. *)
+let read_ready t fd =
+  match Hashtbl.find t.accepted fd with
+  | conn -> read_conn t conn
+  | exception Not_found -> (
+      match Hashtbl.find t.listeners fd with
+      | exception Not_found -> ()
+      | dst_addr -> (
+          match Unix.accept fd with
+          | conn_fd, _ ->
+              Hashtbl.replace t.accepted conn_fd
+                { fd = conn_fd; dst_addr; inbuf = Bytes.create 65536; in_start = 0; in_len = 0 };
+              t.read_fds <- conn_fd :: t.read_fds
+          | exception Unix.Unix_error _ -> ()))
+
 let poll t ~timeout =
   if not t.closed then begin
     (* uncork first so bytes produced since the last poll hit the wire
        before we sleep in select *)
     flush_all t;
-    let listener_fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners [] in
-    let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.accepted [] in
-    (match Unix.select (listener_fds @ conn_fds) [] [] timeout with
-    | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt t.accepted fd with
-            | Some conn -> read_conn t conn
-            | None -> (
-                (* a listener: accept and attach the connection to the
-                   listening address *)
-                let addr =
-                  Hashtbl.fold
-                    (fun a lfd acc -> if lfd = fd then Some a else acc)
-                    t.listeners None
-                in
-                match addr with
-                | None -> ()
-                | Some dst_addr -> (
-                    match Unix.accept fd with
-                    | conn_fd, _ ->
-                        Hashtbl.replace t.accepted conn_fd
-                          {
-                            fd = conn_fd;
-                            dst_addr;
-                            inbuf = Bytes.create 65536;
-                            in_start = 0;
-                            in_len = 0;
-                          }
-                    | exception Unix.Unix_error _ -> ())))
-          readable
+    (match Unix.select t.read_fds [] [] timeout with
+    | readable, _, _ -> List.iter (read_ready t) readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* uncork replies produced by the handlers we just ran *)
     flush_all t
@@ -301,16 +298,15 @@ let shutdown t =
   if not t.closed then begin
     flush_all t;
     t.closed <- true;
-    Hashtbl.iter
-      (fun _ fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.listeners;
-    Hashtbl.iter
-      (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.accepted;
-    Hashtbl.iter
-      (fun _ oc -> try Unix.close oc.ofd with Unix.Unix_error _ -> ())
-      t.outbound;
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      t.read_fds;
+    List.iter
+      (fun oc -> try Unix.close oc.ofd with Unix.Unix_error _ -> ())
+      t.out_conns;
     Hashtbl.reset t.listeners;
     Hashtbl.reset t.accepted;
-    Hashtbl.reset t.outbound
+    t.read_fds <- [];
+    Hashtbl.reset t.outbound;
+    t.out_conns <- []
   end

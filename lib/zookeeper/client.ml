@@ -165,7 +165,8 @@ let request t op =
 
 (** [request_async t op] issues one operation without blocking: the
     returned promise fulfills with the result (or [Error Timeout] after
-    [request_timeout]; blocking ops never time out).  Lets one fiber keep
+    [request_timeout]; blocking ops never time out).  A reply cancels the
+    timeout's timer.  Lets one fiber keep
     a window of requests in flight — the TCP transport corks the whole
     window into one write, and replies pipeline back.  [request] stays
     the one-in-flight path the recipes are written against. *)
@@ -181,9 +182,12 @@ let request_async t op =
     match op with
     | P.Block _ -> ()
     | _ ->
-        Sim.schedule t.sim ~after:t.config.request_timeout (fun () ->
-            if Proc.try_fulfill p (P.Error Zerror.Timeout) then
-              Hashtbl.remove t.outstanding xid)
+        let timer =
+          Sim.schedule_timer t.sim ~after:t.config.request_timeout (fun () ->
+              if Proc.try_fulfill p (P.Error Zerror.Timeout) then
+                Hashtbl.remove t.outstanding xid)
+        in
+        Proc.on_fulfill p (fun _ -> Sim.cancel t.sim timer)
   end;
   p
 

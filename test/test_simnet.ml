@@ -24,7 +24,7 @@ let test_time_scale () =
 (* ------------------------------------------------------------------ *)
 
 let test_queue_order () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~vacant:"" () in
   Event_queue.push q ~time:30 "c";
   Event_queue.push q ~time:10 "a";
   Event_queue.push q ~time:20 "b";
@@ -40,7 +40,7 @@ let test_queue_order () =
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.rev !popped)
 
 let test_queue_fifo_ties () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~vacant:0 () in
   for i = 0 to 99 do
     Event_queue.push q ~time:5 i
   done;
@@ -57,7 +57,7 @@ let test_queue_fifo_ties () =
     (List.init 100 Fun.id) (List.rev !out)
 
 let test_queue_clear () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~vacant:() () in
   Event_queue.push q ~time:1 ();
   Event_queue.push q ~time:2 ();
   Alcotest.(check int) "len" 2 (Event_queue.length q);
@@ -65,13 +65,14 @@ let test_queue_clear () =
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check (option (pair int unit))) "pop none" None (Event_queue.pop q)
 
-(* A fired (or cleared) event must not stay reachable through the slot
-   it vacated: each payload is only weakly held by the test, so after a
-   full major GC it must be gone while the queue itself is still live.
-   Twenty pushes force a [grow], covering the resized array's spare
-   slots too. *)
+(* A fired, cleared or cancelled event must not stay reachable through
+   the slot it vacated: each payload is only weakly held by the test, so
+   after a full major GC it must be gone while the queue itself is still
+   live.  Twenty pushes force a [grow], covering the resized array's
+   spare slots too.  A cancelled payload is released at once, while its
+   dead entry waits in the heap for a compaction. *)
 let test_queue_releases_popped () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~vacant:Bytes.empty () in
   let n = 20 in
   let weak = Weak.create n in
   let[@inline never] fill () =
@@ -92,14 +93,28 @@ let test_queue_releases_popped () =
   Event_queue.clear q;
   Gc.full_major ();
   Alcotest.(check int) "cleared payloads collected" 0 (live ());
-  Alcotest.(check bool) "queue still live" true (Event_queue.is_empty q)
+  Alcotest.(check bool) "queue still live" true (Event_queue.is_empty q);
+  let[@inline never] fill_cancellable () =
+    List.init n (fun i ->
+        let payload = Bytes.make 16 (Char.chr (97 + i)) in
+        Weak.set weak i (Some payload);
+        Event_queue.push_cancellable q ~time:i payload)
+  in
+  let handles = fill_cancellable () in
+  (* The earliest entry stays live; the 11th cancel compacts 20 entries
+     to 9, and the 16th compacts again, down to the 4 live ones. *)
+  List.iteri (fun i h -> if i mod 5 <> 0 then Event_queue.cancel q h) handles;
+  Gc.full_major ();
+  Alcotest.(check int) "cancelled payloads collected, live ones kept" (n / 5)
+    (live ());
+  Alcotest.(check int) "live entries" (n / 5) (Event_queue.length q)
 
 let prop_queue_sorted =
   QCheck.Test.make ~name:"event_queue pops in nondecreasing time order"
     ~count:200
     QCheck.(list (int_bound 10_000))
     (fun times ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~vacant:0 () in
       List.iter (fun t -> Event_queue.push q ~time:t t) times;
       let rec drain acc =
         match Event_queue.pop q with
@@ -108,6 +123,100 @@ let prop_queue_sorted =
       in
       let out = drain [] in
       out = List.sort compare times)
+
+(* Model-based test: random interleavings of push, cancellable push,
+   pop, cancel and clear, checked after every step against the sorted
+   list in [Queue_model].  Times come from a small range, so equal-time
+   ties are common; cancels pick among every handle ever issued, so many
+   name entries already popped, cancelled or cleared.  Each case runs a
+   push-heavy phase, a cancel-heavy one (cancelled entries come to
+   outnumber live ones: the queue compacts) and a mixed one (live
+   entries outnumber cancelled ones again). *)
+type queue_op = Push of int | Push_cancellable of int | Pop | Cancel of int | Clear
+
+let pp_queue_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
+  | Pop -> "pop"
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Clear -> "clear"
+
+let gen_queue_ops =
+  let open QCheck.Gen in
+  let time = int_bound 8 in
+  let phase weights = list_size (int_bound 60) (frequency weights) in
+  let push w = (w, map (fun t -> Push t) time)
+  and push_c w = (w, map (fun t -> Push_cancellable t) time)
+  and pop w = (w, return Pop)
+  and cancel w = (w, map (fun i -> Cancel i) nat) in
+  let* fill = phase [ push 1; push_c 6; pop 1 ] in
+  let* drain = phase [ push_c 1; pop 1; cancel 8 ] in
+  let* mixed = phase [ push 4; push_c 4; pop 3; cancel 3; (1, return Clear) ] in
+  return (fill @ drain @ mixed)
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"event_queue matches the sorted-list model" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list pp_queue_op) gen_queue_ops)
+    (fun ops ->
+      let q = Event_queue.create ~vacant:(-1) () and m = Queue_model.create () in
+      (* handles in issue order, each paired with the model's seq *)
+      let handles = ref [||] in
+      let apply = function
+        | Push time -> Event_queue.push q ~time (Queue_model.push m ~time)
+        | Push_cancellable time ->
+            let seq = Queue_model.push m ~time in
+            let h = Event_queue.push_cancellable q ~time seq in
+            handles := Array.append !handles [| (h, seq) |]
+        | Pop ->
+            if Event_queue.pop q <> Queue_model.pop m then
+              QCheck.Test.fail_report "pop differs"
+        | Cancel i ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let h, seq = !handles.(n - 1 - (i mod n)) in
+              Event_queue.cancel q h;
+              Queue_model.cancel m seq
+            end
+        | Clear ->
+            Event_queue.clear q;
+            Queue_model.clear m
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          if Event_queue.length q <> Queue_model.length m
+             || Event_queue.peek_time q <> Queue_model.peek_time m
+          then QCheck.Test.fail_reportf "after %s: queue and model differ" (pp_queue_op op))
+        ops;
+      let rec drain () =
+        match (Event_queue.pop q, Queue_model.pop m) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      drain ())
+
+(* Pushing and taking from a warmed queue allocates nothing: the heap
+   moves unboxed ints, payloads stay in their slots, and [top_time] /
+   [take] return no option or tuple.  The payload closures are built
+   before the measured region. *)
+let test_queue_no_allocation () =
+  let payloads = Array.init 64 (fun i () -> ignore (Sys.opaque_identity i)) in
+  let q = Event_queue.create ~vacant:ignore () in
+  for i = 0 to 4096 do
+    Event_queue.push q ~time:((i * 7919) land 4095) payloads.(i land 63)
+  done;
+  ignore (Event_queue.take q : unit -> unit);
+  let pairs = 20_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to pairs do
+    let now = Event_queue.top_time q in
+    Event_queue.push q ~time:(now + ((i * 7919) land 4095)) payloads.(i land 63);
+    let f = Event_queue.take q in
+    ignore (Sys.opaque_identity f : unit -> unit)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words allocated by push + take" 0. words;
+  Alcotest.(check int) "size unchanged" 4096 (Event_queue.length q)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -187,6 +296,41 @@ let test_sim_max_events () =
   tick ();
   Sim.run ~max_events:100 sim;
   Alcotest.(check int) "bounded" 100 (Sim.executed_events sim)
+
+let test_sim_cancel () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let timer = Sim.schedule_timer sim ~after:(Sim_time.ms 5) (fun () -> incr fired) in
+  Alcotest.(check int) "armed timer pending" 1 (Sim.pending sim);
+  Sim.cancel sim timer;
+  Alcotest.(check int) "cancelled timer not pending" 0 (Sim.pending sim);
+  Sim.cancel sim timer;
+  Sim.run sim;
+  Alcotest.(check int) "never ran" 0 !fired;
+  Alcotest.check time "clock not moved" Sim_time.zero (Sim.now sim);
+  let timer = Sim.schedule_timer sim ~after:(Sim_time.ms 5) (fun () -> incr fired) in
+  Sim.schedule sim ~after:(Sim_time.ms 9) ignore;
+  Sim.run ~until:(Sim_time.ms 7) sim;
+  Sim.cancel sim timer;
+  Alcotest.(check int) "fired once" 1 !fired;
+  Alcotest.(check int) "cancelling a fired timer is a no-op" 1 (Sim.pending sim)
+
+(* Cancelled timers are skipped, not executed: [max_events] and
+   [executed_events] count live events only. *)
+let test_sim_max_events_live_only () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let timers =
+    List.init 10 (fun i ->
+        Sim.schedule_timer sim ~after:(Sim_time.ms (i + 1)) (fun () -> log := (i + 1) :: !log))
+  in
+  List.iteri (fun i timer -> if i mod 2 = 0 then Sim.cancel sim timer) timers;
+  Alcotest.(check int) "live pending" 5 (Sim.pending sim);
+  Sim.run ~max_events:3 sim;
+  Alcotest.(check (list int)) "three live timers ran" [ 2; 4; 6 ] (List.rev !log);
+  Alcotest.(check int) "executed" 3 (Sim.executed_events sim);
+  Alcotest.check time "clock at the last one run" (Sim_time.ms 6) (Sim.now sim);
+  Alcotest.(check int) "still pending" 2 (Sim.pending sim)
 
 let test_sim_stop () =
   let sim = Sim.create () in
@@ -275,6 +419,23 @@ let test_proc_await_timeout_wins () =
   Sim.schedule sim ~after:(Sim_time.ms 1) (fun () -> Proc.fulfill p 5);
   Sim.run sim;
   Alcotest.(check (option int)) "value before timeout" (Some 5) !got
+
+(* An answered wait leaves no timer behind: the queue is back to its
+   size before the wait, and draining it stops at the answer, not at the
+   abandoned deadline. *)
+let test_proc_await_timeout_cancels_timer () =
+  let sim = Sim.create () in
+  let p = Proc.promise sim in
+  let pending_before = ref (-1) and pending_after = ref (-1) in
+  Proc.spawn sim (fun () ->
+      pending_before := Sim.pending sim;
+      Sim.schedule sim ~after:(Sim_time.ms 1) (fun () -> Proc.fulfill p 5);
+      ignore (Proc.await_timeout sim p ~timeout:(Sim_time.sec 1) : int option);
+      pending_after := Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "pending back to its value before the wait" !pending_before
+    !pending_after;
+  Alcotest.check time "clock stops at the answer" (Sim_time.ms 1) (Sim.now sim)
 
 let test_proc_join () =
   let sim = Sim.create () in
@@ -530,7 +691,10 @@ let () =
           Alcotest.test_case "clear" `Quick test_queue_clear;
           Alcotest.test_case "releases popped payloads" `Quick
             test_queue_releases_popped;
+          Alcotest.test_case "push and take allocate nothing" `Quick
+            test_queue_no_allocation;
           qc prop_queue_sorted;
+          qc prop_queue_matches_model;
         ] );
       ( "rng",
         [
@@ -545,6 +709,9 @@ let () =
           Alcotest.test_case "run until" `Quick test_sim_until;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "max events" `Quick test_sim_max_events;
+          Alcotest.test_case "cancel" `Quick test_sim_cancel;
+          Alcotest.test_case "max events counts live only" `Quick
+            test_sim_max_events_live_only;
           Alcotest.test_case "stop" `Quick test_sim_stop;
         ] );
       ( "proc",
@@ -557,6 +724,8 @@ let () =
           Alcotest.test_case "double fulfill raises" `Quick test_proc_fulfill_twice_raises;
           Alcotest.test_case "timeout expires" `Quick test_proc_await_timeout_expires;
           Alcotest.test_case "timeout beaten" `Quick test_proc_await_timeout_wins;
+          Alcotest.test_case "beaten timeout cancelled" `Quick
+            test_proc_await_timeout_cancels_timer;
           Alcotest.test_case "join" `Quick test_proc_join;
         ] );
       ( "net",

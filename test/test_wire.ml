@@ -1067,6 +1067,64 @@ let test_tcp_garbage_is_dropped () =
     (Tcp_transport.decode_errors hub);
   Alcotest.(check int) "garbage not dispatched" 0 !received
 
+(* A flush that fails drops its own connection in the middle of the
+   walk over every outbound connection; the walk still flushes the
+   others, and the next send to the dropped peer opens a fresh
+   connection.  The peers are plain sockets owned by the test; peer 2 is
+   reset (linger 0) so the hub's next write to it fails. *)
+let test_tcp_failed_flush_drops_only_its_connection () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sim = Sim.create ~seed:33 () in
+  let base_port = 49000 + (Unix.getpid () mod 9000) in
+  let listen addr =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + addr));
+    Unix.listen fd 4;
+    fd
+  in
+  let l1 = listen 1 and l2 = listen 2 in
+  let hub =
+    Tcp_transport.create ~sim ~base_port ~encode:Fun.id
+      ~decode:(fun s ~pos ~len -> Ok (String.sub s pos len)) ()
+  in
+  let tr = Tcp_transport.transport hub in
+  let send dst = Transport.send tr ~src:0 ~dst ~size:0 "hello" in
+  (* bytes that reach [fd] within a short wait *)
+  let received fd =
+    let buf = Bytes.create 4096 and total = ref 0 in
+    let deadline = Unix.gettimeofday () +. 2. in
+    while !total = 0 && Unix.gettimeofday () < deadline do
+      match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ -> total := !total + Unix.read fd buf 0 (Bytes.length buf)
+    done;
+    !total
+  in
+  (* connect to peer 1 first: the walk meets peer 2's connection first *)
+  send 1;
+  send 2;
+  Tcp_transport.poll hub ~timeout:0.;
+  let p1, _ = Unix.accept l1 and p2, _ = Unix.accept l2 in
+  Alcotest.(check bool) "peer 1 got the first frame" true (received p1 > 0);
+  Alcotest.(check bool) "peer 2 got the first frame" true (received p2 > 0);
+  Unix.setsockopt_optint p2 Unix.SO_LINGER (Some 0);
+  Unix.close p2;
+  Unix.sleepf 0.05;
+  send 2;
+  send 1;
+  Tcp_transport.poll hub ~timeout:0.;
+  Alcotest.(check int) "the reset connection failed" 1 (Tcp_transport.send_failures hub);
+  Alcotest.(check bool) "the other connection still flushed" true (received p1 > 0);
+  send 2;
+  Tcp_transport.poll hub ~timeout:0.;
+  let p2', _ = Unix.accept l2 in
+  Alcotest.(check bool) "a fresh connection to the reset peer" true (received p2' > 0);
+  Alcotest.(check int) "the dropped connection is not flushed again" 1
+    (Tcp_transport.send_failures hub);
+  Tcp_transport.shutdown hub;
+  List.iter Unix.close [ p1; p2'; l1; l2 ]
+
 (* ------------------------------------------------------------------ *)
 (* 2PC frames and shard-map payloads (§6j)                             *)
 (* ------------------------------------------------------------------ *)
@@ -1308,6 +1366,8 @@ let () =
             test_tcp_counter_workload;
           Alcotest.test_case "garbage frames dropped, not fatal" `Quick
             test_tcp_garbage_is_dropped;
+          Alcotest.test_case "failed flush drops only its connection" `Quick
+            test_tcp_failed_flush_drops_only_its_connection;
         ] );
       ( "2pc",
         [

@@ -7,6 +7,7 @@ open Edc_zookeeper
 module P = Protocol
 
 let zerror = Alcotest.testable Zerror.pp Zerror.equal
+let time = Alcotest.testable Sim_time.pp Sim_time.equal
 
 (* ------------------------------------------------------------------ *)
 (* Zpath                                                               *)
@@ -581,6 +582,58 @@ let test_cluster_deterministic () =
   in
   Alcotest.(check bool) "same trace both runs" true (run () = run ())
 
+(* An answered request cancels its timeout: the event queue is back to
+   its size before the request, instead of holding a dead timer until
+   the deadline. *)
+let test_cluster_answered_request_leaves_no_timer () =
+  in_cluster (fun cluster ->
+      let sim = Cluster.sim cluster in
+      let c = Cluster.connected_client ~replica:1 cluster () in
+      ignore (ok "create" (Client.create_node c "/t" "v") : string);
+      Proc.sleep sim (Sim_time.ms 100);
+      let before = Sim.pending sim in
+      ignore (ok "get" (Client.get_data c "/t"));
+      Alcotest.(check int) "request" before (Sim.pending sim);
+      let p = Client.request_async c (P.Get_data { path = "/t"; watch = false }) in
+      ignore (Proc.await p : P.result);
+      Alcotest.(check int) "request_async" before (Sim.pending sim))
+
+(* With the client's link cut, both request paths give up at exactly
+   [request_timeout]; replies arriving after that are dropped. *)
+let test_cluster_request_timeout_exact () =
+  let timeout = Sim_time.ms 300 in
+  let config = { Client.default_config with request_timeout = timeout } in
+  in_cluster (fun cluster ->
+      let sim = Cluster.sim cluster and net = Cluster.net cluster in
+      let c = Cluster.connected_client ~config ~replica:1 cluster () in
+      Net.cut_link net (Client.addr c) 1;
+      let t0 = Sim.now sim in
+      (match Client.get_data c "/" with
+      | Error Zerror.Timeout -> ()
+      | _ -> Alcotest.fail "request: expected Timeout");
+      Alcotest.check time "request gives up at the deadline" (Sim_time.add t0 timeout)
+        (Sim.now sim);
+      let t1 = Sim.now sim and resolved_at = ref Sim_time.zero in
+      let p = Client.request_async c (P.Get_data { path = "/"; watch = false }) in
+      Proc.on_fulfill p (fun _ -> resolved_at := Sim.now sim);
+      (match Proc.await p with
+      | P.Error Zerror.Timeout -> ()
+      | _ -> Alcotest.fail "request_async: expected Timeout");
+      Alcotest.check time "request_async gives up at the deadline"
+        (Sim_time.add t1 timeout) !resolved_at;
+      Net.heal_link net (Client.addr c) 1;
+      (* late replies to both requests (xids 1 and 2) *)
+      List.iter
+        (fun xid ->
+          Net.send net ~src:1 ~dst:(Client.addr c) ~size:16
+            (Server.Server_msg (P.Reply { xid; result = P.Deleted })))
+        [ 1; 2 ];
+      Proc.sleep sim (Sim_time.ms 10);
+      (match Proc.value_opt p with
+      | Some (P.Error Zerror.Timeout) -> ()
+      | _ -> Alcotest.fail "late reply changed a timed-out request");
+      ignore (ok "request after the link heals" (Client.get_data c "/")))
+
 let qc = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -703,5 +756,9 @@ let () =
           Alcotest.test_case "snapshot state transfer" `Quick
             test_cluster_snapshot_state_transfer;
           Alcotest.test_case "deterministic" `Quick test_cluster_deterministic;
+          Alcotest.test_case "answered request leaves no timer" `Quick
+            test_cluster_answered_request_leaves_no_timer;
+          Alcotest.test_case "request timeout exact" `Quick
+            test_cluster_request_timeout_exact;
         ] );
     ]
