@@ -48,9 +48,10 @@ reads:
 sharding:
 	dune exec bench/main.exe -- sharding
 
-# Wire codec + transport: streaming-vs-tree-vs-Marshal codec costs
-# (gated: streaming within 2x Marshal on both shapes; byte-identity
-# asserted before timing), corrupt-input rejection costs, and the
+# Wire codec + transport: streaming-vs-Marshal codec costs (gated:
+# streaming within 2x Marshal on both shapes; the streamed bytes are
+# re-parsed as canonical frames before timing; the byte format itself is
+# pinned by test/test_golden.ml), corrupt-input rejection costs, and the
 # pipelined TCP end-to-end run (gated >= 6700 ops/s over >= 5000 ops,
 # with p50/p95/p99); writes BENCH_wire.json.
 wire:

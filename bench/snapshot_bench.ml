@@ -185,15 +185,15 @@ let hist_encode (hist : (Zab.zxid * string) list) =
           hist))
 
 let hist_decode blob : ((Zab.zxid * string) list, string) result =
-  Result.bind (Edc_wire.Wire.decode blob) (fun w ->
-      Edc_wire.Wire.map_list
-        (function
-          | Edc_wire.Wire.List
-              [ Edc_wire.Wire.Int epoch; Edc_wire.Wire.Int counter;
-                Edc_wire.Wire.Str s ] ->
-              Ok ({ Zab.epoch; counter }, s)
-          | _ -> Error "bad history entry")
-        w)
+  let module R = Edc_wire.Wire.Reader in
+  R.run blob (fun r ->
+      R.list r (fun r ->
+          R.begin_list r;
+          let epoch = R.int r in
+          let counter = R.int r in
+          let s = R.str r in
+          R.end_list r;
+          ({ Zab.epoch; counter }, s)))
 
 let compact_survivors c ids =
   List.iter

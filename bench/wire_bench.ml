@@ -4,10 +4,9 @@
    Three experiments, results in BENCH_wire.json (schema 2):
    - codec: encode/decode wall-clock of the Wire frame codec on the two
      shapes that dominate traffic — a group-committed transaction batch
-     and a full snapshot image — for three codecs: the tree codec
-     ("wire", builds a [Wire.t] first), the zero-tree streaming codec
-     ("wire_stream", [Wire.Writer]/[Wire.Reader]), and the unchecked
-     [Marshal] baseline the servers no longer link.  Each shape's six
+     and a full snapshot image — for the deployment's streaming codec
+     ("wire_stream", [Wire.Writer]/[Wire.Reader]) and the unchecked
+     [Marshal] baseline the servers no longer link.  Each shape's four
      timings run in interleaved repeated trials, each on a settled heap
      and charged the collection of its own garbage; tables report the min
      and the median per call.  The streaming
@@ -154,26 +153,8 @@ let codec_experiment ~quick =
   let trial_us = if quick then 10_000.0 else 40_000.0 in
   let batch = txn_batch 64 in
   let portable = snapshot_portable (if quick then 2_000 else 10_000) in
-  let batch_to_wire m = Zab_wire.to_wire ~payload:Zk.Wire_format.txn_to_wire m in
-  let batch_of_wire w = Zab_wire.of_wire ~payload:Zk.Wire_format.txn_of_wire w in
   let write_batch w m = Zab_wire.write ~payload:Zk.Wire_format.write_txn w m in
   let read_batch r = Zab_wire.read ~payload:Zk.Wire_format.read_txn r in
-  let tree_shapes =
-    [
-      ( "txn_batch_64",
-        (fun () -> Wire.encode (batch_to_wire batch)),
-        fun s ->
-          match Result.bind (Wire.decode s) batch_of_wire with
-          | Ok _ -> ()
-          | Error e -> failwith e );
-      ( "snapshot_10k",
-        (fun () -> Wire.encode (Zk.Wire_format.portable_to_wire portable)),
-        fun s ->
-          match Result.bind (Wire.decode s) Zk.Wire_format.portable_of_wire with
-          | Ok _ -> ()
-          | Error e -> failwith e );
-    ]
-  in
   let stream_shapes =
     [
       ( "txn_batch_64",
@@ -202,25 +183,26 @@ let codec_experiment ~quick =
         fun s -> ignore (Marshal.from_string s 0 : Dt.portable) );
     ]
   in
-  (* the streaming fast path must stay byte-identical to the tree codec —
-     a cheap standing check on top of the fuzz suite *)
-  List.iter2
-    (fun (shape, tree_enc, _) (_, stream_enc, _) ->
-      if not (String.equal (tree_enc ()) (stream_enc ())) then
-        failwith (shape ^ ": streaming encode is not byte-identical"))
-    tree_shapes stream_shapes;
+  (* the streamed bytes must be canonical frames: the reference frame
+     parser accepts them and re-encodes them byte for byte — a cheap
+     standing check on top of the golden corpus and the fuzz suite *)
+  List.iter
+    (fun (shape, stream_enc, _) ->
+      let s = stream_enc () in
+      match Wire.decode s with
+      | Ok v when String.equal (Wire.encode v) s -> ()
+      | Ok _ -> failwith (shape ^ ": streamed bytes are not canonical")
+      | Error e -> failwith (shape ^ ": streamed bytes do not parse: " ^ e))
+    stream_shapes;
   Printf.printf
     "\n  codec throughput (wall clock per call with its GC, min / median of \
      %d interleaved trials of ~%.0f ms):\n"
     trials (trial_us /. 1000.0);
   Printf.printf "  %14s %12s %9s %21s %21s\n" "shape" "codec" "bytes"
     "encode us" "decode us";
-  (* one shape at a time, its three codecs' encodes and decodes
+  (* one shape at a time, its two codecs' encodes and decodes
      interleaved trial by trial *)
-  let codecs =
-    [ ("wire", tree_shapes); ("wire_stream", stream_shapes);
-      ("marshal", marshal_shapes) ]
-  in
+  let codecs = [ ("wire_stream", stream_shapes); ("marshal", marshal_shapes) ] in
   let measure_shape shape =
     let cases =
       List.map
@@ -351,7 +333,9 @@ type reject_row = { r_case : string; r_us : float }
 let reject_experiment ~quick =
   let reps = if quick then 1_000 else 10_000 in
   let portable = snapshot_portable (if quick then 2_000 else 10_000) in
-  let blob = Wire.encode (Zk.Wire_format.portable_to_wire portable) in
+  let blob =
+    Wire.Writer.with_writer (fun w -> Zk.Wire_format.write_portable w portable)
+  in
   let truncated = String.sub blob 0 (String.length blob / 2) in
   let flipped =
     let b = Bytes.of_string blob in

@@ -3,78 +3,6 @@
 
 open Edc_simnet
 open Edc_wire
-
-let ( let* ) = Result.bind
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-  in
-  go [] l
-
-let rid_to_wire (r : Pbft.request_id) = Wire.List [ Int r.client; Int r.rseq ]
-
-let rid_of_wire = function
-  | Wire.List [ Wire.Int client; Wire.Int rseq ] -> Ok { Pbft.client; rseq }
-  | _ -> Error "bad request id"
-
-let batch_to_wire payload batch =
-  Wire.List
-    (List.map (fun (rid, p) -> Wire.List [ rid_to_wire rid; payload p ]) batch)
-
-let batch_of_wire of_payload = function
-  | Wire.List items ->
-      map_result
-        (function
-          | Wire.List [ r; p ] ->
-              let* rid = rid_of_wire r in
-              let* p = of_payload p in
-              Ok (rid, p)
-          | _ -> Error "bad batch element")
-        items
-  | _ -> Error "bad batch"
-
-let to_wire ~payload (m : 'p Pbft.msg) =
-  let open Wire in
-  match m with
-  | Pbft.Pre_prepare { view; seq; batch; ts } ->
-      List
-        [ Int 0; Int view; Int seq; batch_to_wire payload batch;
-          Int (Sim_time.to_ns ts) ]
-  | Pbft.Prepare { view; seq } -> List [ Int 1; Int view; Int seq ]
-  | Pbft.Commit { view; seq } -> List [ Int 2; Int view; Int seq ]
-  | Pbft.View_change { new_view; delivered; pending } ->
-      List
-        [ Int 3; Int new_view; batch_to_wire payload delivered;
-          batch_to_wire payload pending ]
-  | Pbft.New_view { view } -> List [ Int 4; Int view ]
-  | Pbft.Recover_request -> List [ Int 5 ]
-  | Pbft.Recover_reply { view } -> List [ Int 6; Int view ]
-
-let of_wire ~payload:of_payload w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Int view; Int seq; batch; Int ts ] ->
-      let* batch = batch_of_wire of_payload batch in
-      Ok (Pbft.Pre_prepare { view; seq; batch; ts = Sim_time.ns ts })
-  | List [ Int 1; Int view; Int seq ] -> Ok (Pbft.Prepare { view; seq })
-  | List [ Int 2; Int view; Int seq ] -> Ok (Pbft.Commit { view; seq })
-  | List [ Int 3; Int new_view; delivered; pending ] ->
-      let* delivered = batch_of_wire of_payload delivered in
-      let* pending = batch_of_wire of_payload pending in
-      Ok (Pbft.View_change { new_view; delivered; pending })
-  | List [ Int 4; Int view ] -> Ok (Pbft.New_view { view })
-  | List [ Int 5 ] -> Ok Pbft.Recover_request
-  | List [ Int 6; Int view ] -> Ok (Pbft.Recover_reply { view })
-  | _ -> Error "bad pbft message"
-
-(* ------------------------------------------------------------------ *)
-(* Streaming codec — byte-identical to the tree codec above (fuzzed
-   against it in test/test_wire.ml).                                   *)
-(* ------------------------------------------------------------------ *)
-
 module W = Wire.Writer
 module R = Wire.Reader
 

@@ -6,8 +6,8 @@
     (prepare, resolve) or the coordinator shard's log (the commit
     decision), so 2PC state is exactly as durable as the shards
     themselves.  This module holds the pieces shared by all deployments:
-    the write-op payload a prepare carries, the inter-shard frames, and
-    their canonical wire codec.
+    the write-op payload a prepare carries, its wire codec, and the
+    inter-shard frames.
 
     Protocol shape (presumed abort):
 
@@ -27,8 +27,6 @@
       committed it, and it now never will). *)
 
 open Edc_wire
-
-let ( let* ) = Result.bind
 
 (** One write of a cross-shard transaction, in the owning shard's
     namespace.  Deliberately smaller than the full client op set:
@@ -79,61 +77,10 @@ let frame_size = function
   | Commit { txid } | Abort { txid } -> 12 + String.length txid
   | Status { txid; _ } -> 16 + String.length txid
 
-(* ------------------------------------------------------------------ *)
-(* Canonical wire codec (append-only tag registries)                   *)
-(*   wop:   0 Wcreate, 1 Wset, 2 Wdelete                               *)
-(*   frame: 0 Prepare, 1 Prepare_ack, 2 Commit, 3 Abort, 4 Status     *)
-(* ------------------------------------------------------------------ *)
-
-let wop_to_wire = function
-  | Wcreate { path; data } -> Wire.List [ Int 0; Str path; Str data ]
-  | Wset { path; data } -> Wire.List [ Int 1; Str path; Str data ]
-  | Wdelete { path } -> Wire.List [ Int 2; Str path ]
-
-let wop_of_wire = function
-  | Wire.List [ Wire.Int 0; Wire.Str path; Wire.Str data ] ->
-      Ok (Wcreate { path; data })
-  | Wire.List [ Wire.Int 1; Wire.Str path; Wire.Str data ] ->
-      Ok (Wset { path; data })
-  | Wire.List [ Wire.Int 2; Wire.Str path ] -> Ok (Wdelete { path })
-  | _ -> Error "bad 2pc wop"
-
-let shard_list_to_wire l = Wire.List (List.map (fun s -> Wire.Int s) l)
-
-let shard_list_of_wire w =
-  Wire.map_list
-    (function Wire.Int s -> Ok s | _ -> Error "bad shard id")
-    w
-
-let frame_to_wire = function
-  | Prepare { txid; coord; participants; ops } ->
-      Wire.List
-        [ Int 0; Str txid; Int coord; shard_list_to_wire participants;
-          List (List.map wop_to_wire ops) ]
-  | Prepare_ack { txid; shard; ok } ->
-      Wire.List [ Int 1; Str txid; Int shard; Wire.bool_ ok ]
-  | Commit { txid } -> Wire.List [ Int 2; Str txid ]
-  | Abort { txid } -> Wire.List [ Int 3; Str txid ]
-  | Status { txid; from_shard } -> Wire.List [ Int 4; Str txid; Int from_shard ]
-
-let frame_of_wire = function
-  | Wire.List [ Wire.Int 0; Wire.Str txid; Wire.Int coord; participants; ops ]
-    ->
-      let* participants = shard_list_of_wire participants in
-      let* ops = Wire.map_list wop_of_wire ops in
-      Ok (Prepare { txid; coord; participants; ops })
-  | Wire.List [ Wire.Int 1; Wire.Str txid; Wire.Int shard; ok ] ->
-      let* ok = Wire.to_bool ok in
-      Ok (Prepare_ack { txid; shard; ok })
-  | Wire.List [ Wire.Int 2; Wire.Str txid ] -> Ok (Commit { txid })
-  | Wire.List [ Wire.Int 3; Wire.Str txid ] -> Ok (Abort { txid })
-  | Wire.List [ Wire.Int 4; Wire.Str txid; Wire.Int from_shard ] ->
-      Ok (Status { txid; from_shard })
-  | _ -> Error "bad 2pc frame"
-
-(* Streaming wop codec, byte-identical to [wop_to_wire]/[wop_of_wire];
-   the deployment's streaming message writers (Multi, 2PC txn ops)
-   compose with it. *)
+(* Wire codec of a write op (tags: 0 Wcreate, 1 Wset, 2 Wdelete).  The
+   deployment's message codecs (Multi, 2PC txn ops, the snapshot's
+   prepared section) compose with it.  Frames have no codec: they cross
+   only the simulated inter-shard net, as values sized by [frame_size]. *)
 
 let write_wop w op =
   let module W = Wire.Writer in

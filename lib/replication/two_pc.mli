@@ -1,8 +1,10 @@
 (** Two-phase commit over independent replication groups (DESIGN.md §6j):
-    the write-op payload of a prepare, the inter-shard frames, and their
-    canonical wire codec.  The engine lives in the deployment's server
-    (its steps must ride the shard's own replicated log); this module is
-    the shared, transport-level vocabulary. *)
+    the write-op payload of a prepare, its wire codec, and the inter-shard
+    frames.  The engine lives in the deployment's server (its steps must
+    ride the shard's own replicated log); this module is the shared,
+    transport-level vocabulary.  Frames cross only the simulated
+    inter-shard net, as values sized by {!frame_size}: no byte path
+    carries them, so they have no codec. *)
 
 type wop =
   | Wcreate of { path : string; data : string }
@@ -27,17 +29,11 @@ type frame =
 val frame_txid : frame -> string
 val frame_size : frame -> int
 
-(** Canonical binary codec (total decoders, append-only tags). *)
-
-val wop_to_wire : wop -> Edc_wire.Wire.t
-val wop_of_wire : Edc_wire.Wire.t -> (wop, string) result
-
-(** Streaming counterparts, byte-identical to the tree codec. *)
+(** Streaming wire codec of a write op (total reader, append-only tags:
+    0 Wcreate, 1 Wset, 2 Wdelete; bytes pinned by test/test_golden.ml). *)
 
 val write_wop : Edc_wire.Wire.Writer.t -> wop -> unit
 val read_wop : Edc_wire.Wire.Reader.t -> wop
-val frame_to_wire : frame -> Edc_wire.Wire.t
-val frame_of_wire : Edc_wire.Wire.t -> (frame, string) result
 
 val pp_wop : Format.formatter -> wop -> unit
 val pp_frame : Format.formatter -> frame -> unit

@@ -1,9 +1,11 @@
 (** Binary codec for {!Zab} protocol messages (DESIGN.md §6g/§6h).
 
-    Parametric in the payload codec, like ['p Zab.msg] itself: the
-    deployment supplies [payload]/[of_payload] for its transaction type.
-    Every variant is a list frame headed by a small integer tag; the
-    decoder is total — malformed shapes come back as [Error].
+    One streaming codec, [write]/[read], parametric in the payload codec
+    like ['p Zab.msg] itself: the deployment supplies the [~payload]
+    writer and reader for its transaction type.  Every variant is a list
+    frame headed by a small integer tag; [read] is total — under
+    [Wire.Reader.run], malformed shapes come back as [Error].  The byte
+    format is pinned by the golden corpus in test/test_golden.ml.
 
     Tag registry (append-only; never reuse a retired value):
     0 Ping, 1 Propose, 2 Ack, 3 Commit, 4 Request_vote, 5 Vote,
@@ -16,158 +18,6 @@
     Membership frames: 0 Stable, 1 Joint. *)
 
 open Edc_wire
-
-let ( let* ) = Result.bind
-
-let zxid_to_wire (z : Zab.zxid) = Wire.List [ Int z.epoch; Int z.counter ]
-
-let zxid_of_wire = function
-  | Wire.List [ Wire.Int epoch; Wire.Int counter ] ->
-      Ok { Zab.epoch; counter }
-  | _ -> Error "bad zxid"
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-  in
-  go [] l
-
-let member_set_to_wire m = Wire.List (List.map (fun i -> Wire.Int i) m)
-
-let member_set_of_wire = function
-  | Wire.List ids ->
-      map_result
-        (function Wire.Int i -> Ok i | _ -> Error "bad member id")
-        ids
-  | _ -> Error "bad member set"
-
-let membership_to_wire = function
-  | Zab.Stable m -> Wire.List [ Int 0; member_set_to_wire m ]
-  | Zab.Joint { c_old; c_new } ->
-      Wire.List [ Int 1; member_set_to_wire c_old; member_set_to_wire c_new ]
-
-let membership_of_wire = function
-  | Wire.List [ Wire.Int 0; m ] ->
-      let* m = member_set_of_wire m in
-      Ok (Zab.Stable m)
-  | Wire.List [ Wire.Int 1; old_; new_ ] ->
-      let* c_old = member_set_of_wire old_ in
-      let* c_new = member_set_of_wire new_ in
-      Ok (Zab.Joint { c_old; c_new })
-  | _ -> Error "bad membership"
-
-(* Entry payloads are tagged so config changes travel inside the ordinary
-   Propose/Sync frames: 0 = application payload, 1 = joint config entry,
-   2 = final config entry. *)
-let payload_to_wire payload = function
-  | Zab.App p -> Wire.List [ Int 0; payload p ]
-  | Zab.Config (Zab.Cc_joint { c_old; c_new }) ->
-      Wire.List [ Int 1; member_set_to_wire c_old; member_set_to_wire c_new ]
-  | Zab.Config (Zab.Cc_final { members }) ->
-      Wire.List [ Int 2; member_set_to_wire members ]
-
-let payload_of_wire of_payload = function
-  | Wire.List [ Wire.Int 0; p ] ->
-      let* p = of_payload p in
-      Ok (Zab.App p)
-  | Wire.List [ Wire.Int 1; old_; new_ ] ->
-      let* c_old = member_set_of_wire old_ in
-      let* c_new = member_set_of_wire new_ in
-      Ok (Zab.Config (Zab.Cc_joint { c_old; c_new }))
-  | Wire.List [ Wire.Int 2; m ] ->
-      let* members = member_set_of_wire m in
-      Ok (Zab.Config (Zab.Cc_final { members }))
-  | _ -> Error "bad entry payload"
-
-let entry_to_wire payload (e : 'p Zab.entry) =
-  Wire.List [ zxid_to_wire e.zxid; payload_to_wire payload e.payload ]
-
-let entry_of_wire of_payload = function
-  | Wire.List [ z; p ] ->
-      let* zxid = zxid_of_wire z in
-      let* payload = payload_of_wire of_payload p in
-      Ok { Zab.zxid; payload }
-  | _ -> Error "bad log entry"
-
-let to_wire ~payload (m : 'p Zab.msg) =
-  let open Wire in
-  match m with
-  | Zab.Ping { epoch; committed; sent } ->
-      List [ Int 0; Int epoch; Int committed; Int (Edc_simnet.Sim_time.to_ns sent) ]
-  | Zab.Propose { epoch; index; prev_zxid; entries } ->
-      List
-        [ Int 1; Int epoch; Int index; zxid_to_wire prev_zxid;
-          List (List.map (entry_to_wire payload) entries) ]
-  | Zab.Ack { epoch; upto } -> List [ Int 2; Int epoch; Int upto ]
-  | Zab.Commit { epoch; index } -> List [ Int 3; Int epoch; Int index ]
-  | Zab.Request_vote { epoch; candidate; last_zxid } ->
-      List [ Int 4; Int epoch; Int candidate; zxid_to_wire last_zxid ]
-  | Zab.Vote { epoch } -> List [ Int 5; Int epoch ]
-  | Zab.Sync_request { epoch; have } -> List [ Int 6; Int epoch; Int have ]
-  | Zab.Sync { epoch; from; entries; committed } ->
-      List
-        [ Int 7; Int epoch; Int from;
-          List (List.map (entry_to_wire payload) entries); Int committed ]
-  | Zab.Snapshot_begin
-      { epoch; base; total; chunk_size; digest; committed; config } ->
-      List
-        [ Int 8; Int epoch; Int base; Int total; Int chunk_size; Str digest;
-          Int committed; membership_to_wire config ]
-  | Zab.Snapshot_chunk { epoch; base; seq; data } ->
-      List [ Int 9; Int epoch; Int base; Int seq; Str data ]
-  | Zab.Snapshot_ack { epoch; base; received } ->
-      List [ Int 10; Int epoch; Int base; Int received ]
-  | Zab.Join_request { epoch; id } -> List [ Int 11; Int epoch; Int id ]
-  | Zab.Fence { epoch } -> List [ Int 12; Int epoch ]
-  | Zab.Lease_grant { epoch; sent } ->
-      List [ Int 13; Int epoch; Int (Edc_simnet.Sim_time.to_ns sent) ]
-  | Zab.Observer_request { epoch; id } -> List [ Int 14; Int epoch; Int id ]
-
-let of_wire ~payload:of_payload w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Int epoch; Int committed; Int sent ] ->
-      Ok (Zab.Ping { epoch; committed; sent = Edc_simnet.Sim_time.ns sent })
-  | List [ Int 1; Int epoch; Int index; prev; List entries ] ->
-      let* prev_zxid = zxid_of_wire prev in
-      let* entries = map_result (entry_of_wire of_payload) entries in
-      Ok (Zab.Propose { epoch; index; prev_zxid; entries })
-  | List [ Int 2; Int epoch; Int upto ] -> Ok (Zab.Ack { epoch; upto })
-  | List [ Int 3; Int epoch; Int index ] -> Ok (Zab.Commit { epoch; index })
-  | List [ Int 4; Int epoch; Int candidate; z ] ->
-      let* last_zxid = zxid_of_wire z in
-      Ok (Zab.Request_vote { epoch; candidate; last_zxid })
-  | List [ Int 5; Int epoch ] -> Ok (Zab.Vote { epoch })
-  | List [ Int 6; Int epoch; Int have ] -> Ok (Zab.Sync_request { epoch; have })
-  | List [ Int 7; Int epoch; Int from; List entries; Int committed ] ->
-      let* entries = map_result (entry_of_wire of_payload) entries in
-      Ok (Zab.Sync { epoch; from; entries; committed })
-  | List
-      [ Int 8; Int epoch; Int base; Int total; Int chunk_size; Str digest;
-        Int committed; config ] ->
-      let* config = membership_of_wire config in
-      Ok
-        (Zab.Snapshot_begin
-           { epoch; base; total; chunk_size; digest; committed; config })
-  | List [ Int 9; Int epoch; Int base; Int seq; Str data ] ->
-      Ok (Zab.Snapshot_chunk { epoch; base; seq; data })
-  | List [ Int 10; Int epoch; Int base; Int received ] ->
-      Ok (Zab.Snapshot_ack { epoch; base; received })
-  | List [ Int 11; Int epoch; Int id ] -> Ok (Zab.Join_request { epoch; id })
-  | List [ Int 12; Int epoch ] -> Ok (Zab.Fence { epoch })
-  | List [ Int 13; Int epoch; Int sent ] ->
-      Ok (Zab.Lease_grant { epoch; sent = Edc_simnet.Sim_time.ns sent })
-  | List [ Int 14; Int epoch; Int id ] -> Ok (Zab.Observer_request { epoch; id })
-  | _ -> Error "bad zab message"
-
-(* ------------------------------------------------------------------ *)
-(* Streaming codec — byte-identical to the tree codec above; the tree
-   stays as the reference implementation, and test/test_wire.ml fuzzes
-   the two paths against each other.                                   *)
-(* ------------------------------------------------------------------ *)
-
 module W = Wire.Writer
 module R = Wire.Reader
 

@@ -4,8 +4,8 @@
     Paths are partitioned by first component — the coarsest unit that
     keeps subtree-shaped watch patterns single-shard — hashed stably over
     [n_shards], with explicit placement rules taking precedence.  The map
-    is plain data with a canonical wire form, so every router (client
-    sessions, server preprocessors) computes the same placement. *)
+    is plain data shared in-process by every router (client sessions,
+    server preprocessors), so all compute the same placement. *)
 
 type rule = { prefix : string; shard : int }
 type t
@@ -30,11 +30,4 @@ val route : t -> string -> int
 val shards_of_pattern :
   t -> Edc_core.Subscription.oid_pattern -> [ `Shard of int | `Cross of int list ]
 
-(** Canonical wire form (total decoder: malformed bytes are [Error],
-    never an exception). *)
-
-val to_wire : t -> Edc_wire.Wire.t
-val of_wire : Edc_wire.Wire.t -> (t, string) result
-val encode : t -> string
-val decode : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -42,8 +42,6 @@ and frame_size depth v =
   let p = payload_size depth v in
   1 + varint_size p + p
 
-let size v = frame_size 1 v
-
 let encode v =
   let total = frame_size 1 v in
   let b = Bytes.create total in
@@ -194,43 +192,6 @@ let decode s =
              input_len)
       else Ok v
   | exception Fail msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let kind = function Int _ -> "int" | Str _ -> "str" | List _ -> "list"
-let to_int = function Int n -> Ok n | v -> Error ("expected int, got " ^ kind v)
-let to_str = function Str s -> Ok s | v -> Error ("expected str, got " ^ kind v)
-
-let to_list = function
-  | List l -> Ok l
-  | v -> Error ("expected list, got " ^ kind v)
-
-let bool_ b = Int (if b then 1 else 0)
-
-let to_bool = function
-  | Int 0 -> Ok false
-  | Int 1 -> Ok true
-  | v -> Error ("expected bool, got " ^ kind v)
-
-let option f = function None -> List [] | Some x -> List [ f x ]
-
-let to_option f = function
-  | List [] -> Ok None
-  | List [ x ] -> Result.map Option.some (f x)
-  | v -> Error ("expected option, got " ^ kind v)
-
-let map_list f v =
-  match v with
-  | List l ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-      in
-      go [] l
-  | v -> Error ("expected list, got " ^ kind v)
 
 let rec pp ppf = function
   | Int n -> Format.fprintf ppf "%d" n
@@ -592,9 +553,8 @@ module Reader = struct
 
   let has_more r = r.sp > 0 && r.pos < r.limits.(r.sp - 1)
 
-  (* Closing a list with unread items is a shape error — the streaming
-     readers are exactly as strict as the tree decoders' full pattern
-     matches, which reject trailing elements. *)
+  (* Closing a list with unread items is a shape error: a message reader
+     accepts a record frame only with exactly the fields it reads. *)
   let end_list r =
     if r.sp = 0 then invalid_arg "Wire.Reader.end_list: no open list";
     let lim = r.limits.(r.sp - 1) in

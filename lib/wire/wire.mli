@@ -33,9 +33,6 @@ type tree = t
     bounds stack use against length-bomb inputs. *)
 val max_depth : int
 
-(** Size in bytes of the encoded frame. *)
-val size : t -> int
-
 (** [encode v] renders one frame.  Raises [Invalid_argument] if the tree
     is deeper than {!max_depth} (a programming error on the {e sending}
     side; decoding never raises). *)
@@ -46,36 +43,20 @@ val encode : t -> string
     depth/length violations: all [Error] with a description. *)
 val decode : string -> (t, string) result
 
-(** {2 Accessors} — shape checks for untrusted trees, as [result]s so
-    decoders compose with [let*]. *)
-
-val to_int : t -> (int, string) result
-val to_str : t -> (string, string) result
-val to_list : t -> (t list, string) result
-
-val bool_ : bool -> t
-val to_bool : t -> (bool, string) result
-
-(** [None] ↦ [List []]; [Some x] ↦ [List [f x]]. *)
-val option : ('a -> t) -> 'a option -> t
-
-val to_option : (t -> ('a, string) result) -> t -> ('a option, string) result
-
-(** Decode every element of a [List] frame. *)
-val map_list : (t -> ('a, string) result) -> t -> ('a list, string) result
-
 val pp : Format.formatter -> t -> unit
 
-(** {2 Streaming fast path}
+(** {2 Streaming codec}
 
-    The tree above is the {e reference} codec: obviously correct, easy to
-    fuzz, but it allocates an intermediate tree and walks it twice (size
-    pass + encode pass).  {!Writer} and {!Reader} serialize message
-    shapes straight to/from bytes.  Their output/acceptance is required
-    to be {b byte-identical} to [encode]/[decode] — the canonical-format
-    and totality guarantees of DESIGN.md §6g are properties of the byte
-    format, not of the code path — and test/test_wire.ml holds the two
-    paths equal under fuzz. *)
+    {!Writer} and {!Reader} serialize message shapes straight to and from
+    bytes; every message codec in the deployment is one [write_*]/[read_*]
+    pair built on them.  The tree above ([t], [encode], [decode]) is the
+    frame-level {e reference}: [Writer.tree] streams a tree byte-identically
+    to [encode], and [Reader.tree] accepts exactly the byte strings
+    [decode] does — the canonical-format and totality guarantees of
+    DESIGN.md §6g are properties of the byte format, not of the code path,
+    and test/test_wire.ml holds the two paths equal under fuzz.  The
+    message-level byte format is pinned by the golden corpus in
+    test/test_golden.ml. *)
 
 module Writer : sig
   type t
@@ -98,7 +79,7 @@ module Writer : sig
 
   val str : t -> string -> unit
 
-  (** [bool] mirrors {!bool_}: [Int 0] / [Int 1]. *)
+  (** [bool b] writes [Int 0] / [Int 1]. *)
   val bool : t -> bool -> unit
 
   (** [begin_list]/[end_list] bracket a [List] frame; children are
@@ -110,7 +91,7 @@ module Writer : sig
 
   val end_list : t -> unit
 
-  (** [option f] mirrors {!option}: [List []] / [List [f x]]. *)
+  (** [option f] writes [None] as [List []], [Some x] as [List [f x]]. *)
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 
   (** [list f l] writes a [List] frame with one child per element. *)
@@ -142,8 +123,7 @@ module Reader : sig
   val bool : t -> bool
 
   (** Enter / leave a [List] frame.  [end_list] rejects unread trailing
-      items, matching the strictness of the tree decoders' full pattern
-      matches. *)
+      items: a record frame with an extra field is a shape error. *)
   val begin_list : t -> unit
 
   val end_list : t -> unit
@@ -155,7 +135,7 @@ module Reader : sig
       variants mix bare [Int] and [List] arms, e.g. zerror.) *)
   val peek_list : t -> bool
 
-  (** Mirror {!to_option} / {!map_list}. *)
+  (** Inverses of {!Writer.option} / {!Writer.list}. *)
   val option : t -> (t -> 'a) -> 'a option
 
   val list : t -> (t -> 'a) -> 'a list

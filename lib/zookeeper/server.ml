@@ -528,51 +528,11 @@ type snapshot = {
 
 (* Snapshot blobs cross the wire and are re-read by other replicas (and,
    eventually, other OCaml versions): they go through the deterministic
-   binary codec, never [Marshal].  Inputs are pre-sorted by
-   {!capture_snapshot}, so equal states yield byte-identical frames. *)
-let snapshot_to_wire s =
-  let open Wire in
-  List
-    [ Wire_format.portable_to_wire s.snap_tree;
-      List
-        (List.map
-           (fun (session, (info : session_info)) ->
-             List [ Int session; Int info.client_addr; Int info.owner_replica ])
-           s.snap_sessions);
-      List
-        (List.map
-           (fun (path, waiters) ->
-             List
-               [ Str path;
-                 List
-                   (List.map
-                      (fun (s, o, x) -> List [ Int s; Int o; Int x ])
-                      waiters) ])
-           s.snap_blocked);
-      List
-        (List.map
-           (fun (path, txid) -> List [ Str path; Str txid ])
-           s.snap_locks);
-      List
-        (List.map
-           (fun (txid, (coord, ops)) ->
-             List
-               [ Str txid; Int coord;
-                 List (List.map Two_pc.wop_to_wire ops) ])
-           s.snap_prepared);
-      List
-        (List.map
-           (fun (txid, commit) -> List [ Str txid; bool_ commit ])
-           s.snap_decisions);
-      List
-        (List.map
-           (fun (txid, commit) -> List [ Str txid; bool_ commit ])
-           s.snap_resolutions) ]
-
-(* Streaming snapshot writer, byte-identical to [snapshot_to_wire] —
-   compaction serializes a 10k-node tree without building the Wire.t
-   first.  [snapshot_to_wire] stays as the reference oracle, exposed
-   through {!snapshot_bytes_tree} so tests can assert the identity. *)
+   binary codec, never [Marshal], streamed straight to bytes so compaction
+   serializes a 10k-node tree without an intermediate value.  Inputs are
+   pre-sorted by {!capture_snapshot}, so equal states yield byte-identical
+   frames.  Layout: [tree image; sessions; blocked; locks; prepared;
+   decisions; resolutions]. *)
 let write_snapshot w s =
   let module W = Wire.Writer in
   W.begin_list w;
@@ -714,9 +674,6 @@ let capture_snapshot t =
         write_snapshot w (of_tree (Data_tree.materialize image)))
 
 let snapshot_bytes t = (capture_snapshot t) ()
-
-let snapshot_bytes_tree t =
-  Wire.encode (snapshot_to_wire (snapshot_state t (Data_tree.export_eager t.tree)))
 
 (** The blob is untrusted bytes off the wire: decode fully (a pure step)
     before touching any state, so a corrupt or truncated blob leaves the

@@ -152,10 +152,6 @@ val snapshot_installs : t -> int
     streaming writer — no intermediate [Wire.t]). *)
 val snapshot_bytes : t -> string
 
-(** Same state through the tree codec — the reference oracle; tests
-    assert it is byte-identical to {!snapshot_bytes}. *)
-val snapshot_bytes_tree : t -> string
-
 (** [install_snapshot t blob] replaces the replica's state with an
     untrusted blob.  The blob is decoded in full before any state is
     touched: on [Error] (corrupt, truncated, or bit-flipped bytes) the

@@ -6,52 +6,6 @@
 
 open Edc_replication
 open Edc_wire
-
-let ( let* ) = Result.bind
-
-let to_wire (m : Server.wire) =
-  let open Wire in
-  match m with
-  | Server.Client_msg c -> List [ Int 0; Wire_format.client_msg_to_wire c ]
-  | Server.Server_msg s -> List [ Int 1; Wire_format.server_msg_to_wire s ]
-  | Server.Zab_msg z ->
-      List [ Int 2; Zab_wire.to_wire ~payload:Wire_format.txn_to_wire z ]
-  | Server.Forward { origin; session; xid; op } ->
-      List [ Int 3; Int origin; Int session; Int xid; Wire_format.op_to_wire op ]
-  | Server.Forward_connect { origin; client_addr } ->
-      List [ Int 4; Int origin; Int client_addr ]
-  | Server.Forward_reconnect { origin; session } ->
-      List [ Int 5; Int origin; Int session ]
-  | Server.Forward_close { session } -> List [ Int 6; Int session ]
-  | Server.Touch { session } -> List [ Int 7; Int session ]
-
-let of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0; c ] ->
-      let* c = Wire_format.client_msg_of_wire c in
-      Ok (Server.Client_msg c)
-  | List [ Int 1; s ] ->
-      let* s = Wire_format.server_msg_of_wire s in
-      Ok (Server.Server_msg s)
-  | List [ Int 2; z ] ->
-      let* z = Zab_wire.of_wire ~payload:Wire_format.txn_of_wire z in
-      Ok (Server.Zab_msg z)
-  | List [ Int 3; Int origin; Int session; Int xid; op ] ->
-      let* op = Wire_format.op_of_wire op in
-      Ok (Server.Forward { origin; session; xid; op })
-  | List [ Int 4; Int origin; Int client_addr ] ->
-      Ok (Server.Forward_connect { origin; client_addr })
-  | List [ Int 5; Int origin; Int session ] ->
-      Ok (Server.Forward_reconnect { origin; session })
-  | List [ Int 6; Int session ] -> Ok (Server.Forward_close { session })
-  | List [ Int 7; Int session ] -> Ok (Server.Touch { session })
-  | _ -> Error "bad deployment wire message"
-
-(* ------------------------------------------------------------------ *)
-(* Streaming codec — byte-identical to the tree codec above            *)
-(* ------------------------------------------------------------------ *)
-
 module W = Wire.Writer
 module R = Wire.Reader
 
@@ -127,12 +81,8 @@ let read r =
   R.end_list r;
   m
 
-(** String codecs for the TCP transport's [~encode]/[~decode]: the
-    streaming fast path ([encode]/[decode_sub]), with the tree path kept
-    as [encode_tree]/[decode] for reference and fuzzing. *)
+(** String codecs for the TCP transport's [~encode]/[~decode]. *)
 
-let encode_tree m = Wire.encode (to_wire m)
 let encode m = W.with_writer (fun w -> write w m)
 let decode s = R.run s read
 let decode_sub s ~pos ~len = R.run_sub s ~pos ~len read
-let decode_tree s = Result.bind (Wire.decode s) of_wire

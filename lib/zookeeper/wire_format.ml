@@ -1,376 +1,16 @@
 (** Binary codecs for the ZooKeeper layer's durable and wire-crossing
-    types (DESIGN.md §6g): errors, stats, znodes, portable tree images,
-    transactions, and the client protocol.
+    types (DESIGN.md §6g): errors, watch kinds, stats, znodes, portable
+    tree images, transactions, and the client protocol.
 
-    Every [.._of_wire] treats its input as untrusted and returns a clean
-    [Error] on any malformed shape; every [.._to_wire] is deterministic
-    (children sets render as sorted lists, COW stamps are zeroed), so
-    equal states encode to byte-identical frames on every replica and
-    OCaml version. *)
+    One streaming [write_*]/[read_*] pair per type, straight to and from
+    bytes.  Every [read_*] treats its input as untrusted: any malformed
+    shape aborts the enclosing [Wire.Reader.run] with a clean [Error].
+    Every [write_*] is deterministic (children sets render as sorted
+    lists, COW stamps are not encoded), so equal states encode to
+    byte-identical frames on every replica and OCaml version.  The byte
+    format is pinned by the golden corpus in test/test_golden.ml. *)
 
 open Edc_wire
-
-let ( let* ) = Result.bind
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-  in
-  go [] l
-
-(* ------------------------------------------------------------------ *)
-(* Errors and watch kinds                                              *)
-(* ------------------------------------------------------------------ *)
-
-let zerror_to_wire (e : Zerror.t) =
-  let open Wire in
-  match e with
-  | Zerror.No_node -> Int 0
-  | Zerror.Node_exists -> Int 1
-  | Zerror.Bad_version -> Int 2
-  | Zerror.Not_empty -> Int 3
-  | Zerror.No_children_for_ephemerals -> Int 4
-  | Zerror.Invalid_path -> Int 5
-  | Zerror.Session_expired -> Int 6
-  | Zerror.Not_leader -> Int 7
-  | Zerror.Unsupported -> Int 8
-  | Zerror.Timeout -> Int 9
-  | Zerror.Maybe_applied -> Int 10
-  | Zerror.Extension_error msg -> List [ Int 11; Str msg ]
-  | Zerror.Locked -> Int 12
-  | Zerror.Txn_conflict -> Int 13
-
-let zerror_of_wire w =
-  let open Wire in
-  match w with
-  | Int 0 -> Ok Zerror.No_node
-  | Int 1 -> Ok Zerror.Node_exists
-  | Int 2 -> Ok Zerror.Bad_version
-  | Int 3 -> Ok Zerror.Not_empty
-  | Int 4 -> Ok Zerror.No_children_for_ephemerals
-  | Int 5 -> Ok Zerror.Invalid_path
-  | Int 6 -> Ok Zerror.Session_expired
-  | Int 7 -> Ok Zerror.Not_leader
-  | Int 8 -> Ok Zerror.Unsupported
-  | Int 9 -> Ok Zerror.Timeout
-  | Int 10 -> Ok Zerror.Maybe_applied
-  | List [ Int 11; Str msg ] -> Ok (Zerror.Extension_error msg)
-  | Int 12 -> Ok Zerror.Locked
-  | Int 13 -> Ok Zerror.Txn_conflict
-  | _ -> Error "bad error code"
-
-let watch_kind_to_wire (k : Protocol.watch_kind) =
-  Wire.Int
-    (match k with
-    | Protocol.Node_created -> 0
-    | Protocol.Node_deleted -> 1
-    | Protocol.Node_changed -> 2
-    | Protocol.Children_changed -> 3)
-
-let watch_kind_of_wire = function
-  | Wire.Int 0 -> Ok Protocol.Node_created
-  | Wire.Int 1 -> Ok Protocol.Node_deleted
-  | Wire.Int 2 -> Ok Protocol.Node_changed
-  | Wire.Int 3 -> Ok Protocol.Children_changed
-  | _ -> Error "bad watch kind"
-
-(* ------------------------------------------------------------------ *)
-(* Node metadata and znodes                                            *)
-(* ------------------------------------------------------------------ *)
-
-let stat_to_wire (s : Znode.stat) =
-  let open Wire in
-  List
-    [ Int s.version; Int s.czxid;
-      option (fun o -> Int o) s.ephemeral_owner;
-      Int s.num_children; Int s.data_length ]
-
-let stat_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int version; Int czxid; eph; Int num_children; Int data_length ] ->
-      let* ephemeral_owner = to_option to_int eph in
-      Ok { Znode.version; czxid; ephemeral_owner; num_children; data_length }
-  | _ -> Error "bad stat"
-
-(* COW stamps are replica-local: they are not encoded, and decoding yields
-   stamp 0 — exactly what {!Data_tree.materialize} puts in portable
-   images, so round-tripping an image is the identity. *)
-let znode_to_wire (n : Znode.t) =
-  let open Wire in
-  List
-    [ Str n.data; Int n.version;
-      List (List.map (fun c -> Str c) (Znode.String_set.elements n.children));
-      Int n.cversion; Int n.czxid;
-      option (fun o -> Int o) n.ephemeral_owner ]
-
-let znode_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Str data; Int version; children; Int cversion; Int czxid; eph ] ->
-      let* children = map_list to_str children in
-      let* ephemeral_owner = to_option to_int eph in
-      let n = Znode.create ~data ~czxid ~ephemeral_owner in
-      n.version <- version;
-      n.children <- Znode.String_set.of_list children;
-      n.cversion <- cversion;
-      Ok n
-  | _ -> Error "bad znode"
-
-let portable_to_wire (img : Data_tree.portable) =
-  let open Wire in
-  List
-    [ List
-        (List.map
-           (fun (path, node) -> List [ Str path; znode_to_wire node ])
-           img.img_nodes);
-      Int img.img_next_czxid ]
-
-let portable_of_wire w =
-  let open Wire in
-  match w with
-  | List [ nodes; Int img_next_czxid ] ->
-      let* img_nodes =
-        map_list
-          (function
-            | List [ Str path; node ] ->
-                let* node = znode_of_wire node in
-                Ok (path, node)
-            | _ -> Error "bad image node")
-          nodes
-      in
-      Ok { Data_tree.img_nodes; img_next_czxid }
-  | _ -> Error "bad tree image"
-
-(* ------------------------------------------------------------------ *)
-(* Client protocol                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let op_to_wire (op : Protocol.op) =
-  let open Wire in
-  match op with
-  | Protocol.Create { path; data; ephemeral; sequential } ->
-      List [ Int 0; Str path; Str data; bool_ ephemeral; bool_ sequential ]
-  | Protocol.Delete { path; version } ->
-      List [ Int 1; Str path; option (fun v -> Int v) version ]
-  | Protocol.Set_data { path; data; expected_version } ->
-      List [ Int 2; Str path; Str data; option (fun v -> Int v) expected_version ]
-  | Protocol.Get_data { path; watch } -> List [ Int 3; Str path; bool_ watch ]
-  | Protocol.Get_children { path; watch } ->
-      List [ Int 4; Str path; bool_ watch ]
-  | Protocol.Exists { path; watch } -> List [ Int 5; Str path; bool_ watch ]
-  | Protocol.Block { path } -> List [ Int 6; Str path ]
-  | Protocol.Sync -> List [ Int 7 ]
-  | Protocol.Multi { ops } ->
-      List [ Int 8; List (List.map Edc_replication.Two_pc.wop_to_wire ops) ]
-
-let op_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Str path; Str data; e; s ] ->
-      let* ephemeral = to_bool e in
-      let* sequential = to_bool s in
-      Ok (Protocol.Create { path; data; ephemeral; sequential })
-  | List [ Int 1; Str path; v ] ->
-      let* version = to_option to_int v in
-      Ok (Protocol.Delete { path; version })
-  | List [ Int 2; Str path; Str data; v ] ->
-      let* expected_version = to_option to_int v in
-      Ok (Protocol.Set_data { path; data; expected_version })
-  | List [ Int 3; Str path; w ] ->
-      let* watch = to_bool w in
-      Ok (Protocol.Get_data { path; watch })
-  | List [ Int 4; Str path; w ] ->
-      let* watch = to_bool w in
-      Ok (Protocol.Get_children { path; watch })
-  | List [ Int 5; Str path; w ] ->
-      let* watch = to_bool w in
-      Ok (Protocol.Exists { path; watch })
-  | List [ Int 6; Str path ] -> Ok (Protocol.Block { path })
-  | List [ Int 7 ] -> Ok Protocol.Sync
-  | List [ Int 8; ops ] ->
-      let* ops = map_list Edc_replication.Two_pc.wop_of_wire ops in
-      Ok (Protocol.Multi { ops })
-  | _ -> Error "bad operation"
-
-let result_to_wire (r : Protocol.result) =
-  let open Wire in
-  match r with
-  | Protocol.Created path -> List [ Int 0; Str path ]
-  | Protocol.Deleted -> List [ Int 1 ]
-  | Protocol.Set { version } -> List [ Int 2; Int version ]
-  | Protocol.Data (d, s) -> List [ Int 3; Str d; stat_to_wire s ]
-  | Protocol.Children names -> List [ Int 4; List (List.map (fun n -> Str n) names) ]
-  | Protocol.Stat_of s -> List [ Int 5; option stat_to_wire s ]
-  | Protocol.Unblocked d -> List [ Int 6; Str d ]
-  | Protocol.Ext s -> List [ Int 7; Str s ]
-  | Protocol.Synced -> List [ Int 8 ]
-  | Protocol.Error e -> List [ Int 9; zerror_to_wire e ]
-  | Protocol.Multi_ok -> List [ Int 10 ]
-
-let result_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Str path ] -> Ok (Protocol.Created path)
-  | List [ Int 1 ] -> Ok Protocol.Deleted
-  | List [ Int 2; Int version ] -> Ok (Protocol.Set { version })
-  | List [ Int 3; Str d; s ] ->
-      let* s = stat_of_wire s in
-      Ok (Protocol.Data (d, s))
-  | List [ Int 4; names ] ->
-      let* names = map_list to_str names in
-      Ok (Protocol.Children names)
-  | List [ Int 5; s ] ->
-      let* s = to_option stat_of_wire s in
-      Ok (Protocol.Stat_of s)
-  | List [ Int 6; Str d ] -> Ok (Protocol.Unblocked d)
-  | List [ Int 7; Str s ] -> Ok (Protocol.Ext s)
-  | List [ Int 8 ] -> Ok Protocol.Synced
-  | List [ Int 9; e ] ->
-      let* e = zerror_of_wire e in
-      Ok (Protocol.Error e)
-  | List [ Int 10 ] -> Ok Protocol.Multi_ok
-  | _ -> Error "bad result"
-
-let client_msg_to_wire (m : Protocol.client_to_server) =
-  let open Wire in
-  match m with
-  | Protocol.Connect -> List [ Int 0 ]
-  | Protocol.Reconnect { session } -> List [ Int 1; Int session ]
-  | Protocol.Request { session; xid; op } ->
-      List [ Int 2; Int session; Int xid; op_to_wire op ]
-  | Protocol.Ping { session } -> List [ Int 3; Int session ]
-  | Protocol.Close_session { session } -> List [ Int 4; Int session ]
-
-let client_msg_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0 ] -> Ok Protocol.Connect
-  | List [ Int 1; Int session ] -> Ok (Protocol.Reconnect { session })
-  | List [ Int 2; Int session; Int xid; op ] ->
-      let* op = op_of_wire op in
-      Ok (Protocol.Request { session; xid; op })
-  | List [ Int 3; Int session ] -> Ok (Protocol.Ping { session })
-  | List [ Int 4; Int session ] -> Ok (Protocol.Close_session { session })
-  | _ -> Error "bad client message"
-
-let server_msg_to_wire (m : Protocol.server_to_client) =
-  let open Wire in
-  match m with
-  | Protocol.Connect_ok { session } -> List [ Int 0; Int session ]
-  | Protocol.Reply { xid; result } ->
-      List [ Int 1; Int xid; result_to_wire result ]
-  | Protocol.Watch_event { path; kind } ->
-      List [ Int 2; Str path; watch_kind_to_wire kind ]
-  | Protocol.Expired -> List [ Int 3 ]
-
-let server_msg_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Int session ] -> Ok (Protocol.Connect_ok { session })
-  | List [ Int 1; Int xid; r ] ->
-      let* result = result_of_wire r in
-      Ok (Protocol.Reply { xid; result })
-  | List [ Int 2; Str path; k ] ->
-      let* kind = watch_kind_of_wire k in
-      Ok (Protocol.Watch_event { path; kind })
-  | List [ Int 3 ] -> Ok Protocol.Expired
-  | _ -> Error "bad server message"
-
-(* ------------------------------------------------------------------ *)
-(* Transactions                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let txn_op_to_wire (op : Txn.op) =
-  let open Wire in
-  match op with
-  | Txn.Tcreate { path; data; ephemeral_owner } ->
-      List [ Int 0; Str path; Str data; option (fun o -> Int o) ephemeral_owner ]
-  | Txn.Tdelete { path } -> List [ Int 1; Str path ]
-  | Txn.Tset { path; data; version } ->
-      List [ Int 2; Str path; Str data; Int version ]
-  | Txn.Tsession_open { session; client_addr; owner_replica } ->
-      List [ Int 3; Int session; Int client_addr; Int owner_replica ]
-  | Txn.Tsession_close { session } -> List [ Int 4; Int session ]
-  | Txn.Tsession_move { session; owner_replica } ->
-      List [ Int 5; Int session; Int owner_replica ]
-  | Txn.Tblock { session; origin; xid; path } ->
-      List [ Int 6; Int session; Int origin; Int xid; Str path ]
-  | Txn.Tnotify { session; path; kind } ->
-      List [ Int 7; Int session; Str path; watch_kind_to_wire kind ]
-  | Txn.Terror -> List [ Int 8 ]
-  | Txn.Tprep { txid; coord; ops } ->
-      List
-        [ Int 9; Str txid; Int coord;
-          List (List.map Edc_replication.Two_pc.wop_to_wire ops) ]
-  | Txn.Tdecide { txid; commit; participants } ->
-      List
-        [ Int 10; Str txid; bool_ commit;
-          List (List.map (fun s -> Int s) participants) ]
-  | Txn.Tresolve { txid; commit } -> List [ Int 11; Str txid; bool_ commit ]
-
-let txn_op_of_wire w =
-  let open Wire in
-  match w with
-  | List [ Int 0; Str path; Str data; eph ] ->
-      let* ephemeral_owner = to_option to_int eph in
-      Ok (Txn.Tcreate { path; data; ephemeral_owner })
-  | List [ Int 1; Str path ] -> Ok (Txn.Tdelete { path })
-  | List [ Int 2; Str path; Str data; Int version ] ->
-      Ok (Txn.Tset { path; data; version })
-  | List [ Int 3; Int session; Int client_addr; Int owner_replica ] ->
-      Ok (Txn.Tsession_open { session; client_addr; owner_replica })
-  | List [ Int 4; Int session ] -> Ok (Txn.Tsession_close { session })
-  | List [ Int 5; Int session; Int owner_replica ] ->
-      Ok (Txn.Tsession_move { session; owner_replica })
-  | List [ Int 6; Int session; Int origin; Int xid; Str path ] ->
-      Ok (Txn.Tblock { session; origin; xid; path })
-  | List [ Int 7; Int session; Str path; k ] ->
-      let* kind = watch_kind_of_wire k in
-      Ok (Txn.Tnotify { session; path; kind })
-  | List [ Int 8 ] -> Ok Txn.Terror
-  | List [ Int 9; Str txid; Int coord; ops ] ->
-      let* ops = map_list Edc_replication.Two_pc.wop_of_wire ops in
-      Ok (Txn.Tprep { txid; coord; ops })
-  | List [ Int 10; Str txid; commit; participants ] ->
-      let* commit = to_bool commit in
-      let* participants =
-        map_list
-          (function Int s -> Ok s | _ -> Error "bad participant shard")
-          participants
-      in
-      Ok (Txn.Tdecide { txid; commit; participants })
-  | List [ Int 11; Str txid; commit ] ->
-      let* commit = to_bool commit in
-      Ok (Txn.Tresolve { txid; commit })
-  | _ -> Error "bad transaction op"
-
-let txn_to_wire (t : Txn.t) =
-  let open Wire in
-  List
-    [ option (fun o -> Int o) t.origin; Int t.session; Int t.xid;
-      List (List.map txn_op_to_wire t.ops);
-      result_to_wire t.result; bool_ t.quiet ]
-
-let txn_of_wire w =
-  let open Wire in
-  match w with
-  | List [ origin; Int session; Int xid; ops; result; quiet ] ->
-      let* origin = to_option to_int origin in
-      let* ops = map_list txn_op_of_wire ops in
-      let* result = result_of_wire result in
-      let* quiet = to_bool quiet in
-      Ok { Txn.origin; session; xid; ops; result; quiet }
-  | _ -> Error "bad transaction"
-
-(* ------------------------------------------------------------------ *)
-(* Streaming codecs — byte-identical to the tree codecs above.  The
-   tree codecs stay as the reference implementation; test/test_wire.ml
-   fuzzes the two paths against each other on every message shape.     *)
-(* ------------------------------------------------------------------ *)
-
 module W = Wire.Writer
 module R = Wire.Reader
 
@@ -462,6 +102,9 @@ let read_stat r =
   R.end_list r;
   { Znode.version; czxid; ephemeral_owner; num_children; data_length }
 
+(* COW stamps are replica-local: they are not encoded, and decoding yields
+   stamp 0 — exactly what {!Data_tree.materialize} puts in portable
+   images, so round-tripping an image is the identity. *)
 let write_znode w (n : Znode.t) =
   W.begin_list w;
   W.str w n.data;

@@ -39,26 +39,6 @@ let make_zab_cluster ?(n = 3) ?(seed = 1) ?zab_config () =
     replicas;
   { zsim = sim; znet = net; zreplicas = replicas; zdelivered = delivered }
 
-(* Toy payload-history codec for state-transfer tests. *)
-let hist_encode (hist : (Zab.zxid * string) list) =
-  Edc_wire.Wire.encode
-    (Edc_wire.Wire.List
-       (List.map
-          (fun ((z : Zab.zxid), s) ->
-            Edc_wire.Wire.(List [ Int z.epoch; Int z.counter; Str s ]))
-          hist))
-
-let hist_decode blob : ((Zab.zxid * string) list, string) result =
-  Result.bind (Edc_wire.Wire.decode blob) (fun w ->
-      Edc_wire.Wire.map_list
-        (function
-          | Edc_wire.Wire.List
-              [ Edc_wire.Wire.Int epoch; Edc_wire.Wire.Int counter;
-                Edc_wire.Wire.Str s ] ->
-              Ok ({ Zab.epoch; counter }, s)
-          | _ -> Error "bad history entry")
-        w)
-
 let zab_log c i = List.rev_map snd c.zdelivered.(i)
 
 let crash_zab c i =
@@ -192,13 +172,13 @@ let test_zab_snapshot_recovery () =
       (* capture now, serialize only if a transfer asks *)
       Zab.compact c.zreplicas.(i) ~take:(fun () ->
           let hist = c.zdelivered.(i) in
-          fun () -> hist_encode hist))
+          fun () -> Hist_codec.encode hist))
     [ 0; 1 ];
   Alcotest.(check bool) "leader log compacted" true
     (Zab.compaction_base c.zreplicas.(0) > 0);
   (* the restarting follower installs the snapshot into its app state *)
   Zab.set_install_snapshot c.zreplicas.(2) (fun blob ->
-      Result.map (fun h -> c.zdelivered.(2) <- h) (hist_decode blob));
+      Result.map (fun h -> c.zdelivered.(2) <- h) (Hist_codec.decode blob));
   Net.set_node_up c.znet 2;
   Zab.restart c.zreplicas.(2);
   run_for c (Sim_time.sec 2);
@@ -580,13 +560,13 @@ let test_zab_observer_bootstrap_resumes_mid_partition () =
     (fun i ->
       Zab.compact c.zreplicas.(i) ~take:(fun () ->
           let hist = c.zdelivered.(i) in
-          fun () -> hist_encode hist))
+          fun () -> Hist_codec.encode hist))
     [ 0; 1; 2 ];
   Alcotest.(check bool) "leader log compacted" true
     (Zab.compaction_base c.zreplicas.(0) > 0);
   let obs = c.zreplicas.(3) in
   Zab.set_install_snapshot obs (fun blob ->
-      Result.map (fun h -> c.zdelivered.(3) <- h) (hist_decode blob));
+      Result.map (fun h -> c.zdelivered.(3) <- h) (Hist_codec.decode blob));
   Zab.start obs;
   let lead_x = Zab.xfer_stats c.zreplicas.(0) in
   let obs_x = Zab.xfer_stats obs in

@@ -39,41 +39,20 @@ let test_map_rules () =
   Alcotest.(check bool) "no false prefix match" true
     (Shard_map.route map "/pinnedmore" = Shard_map.route map "/pinnedmore")
 
-let test_map_wire_roundtrip () =
-  let map =
-    Shard_map.v ~version:7
-      ~rules:
-        [
-          { Shard_map.prefix = "/a"; shard = 1 };
-          { Shard_map.prefix = "/b/c"; shard = 0 };
-        ]
-      2
-  in
-  match Shard_map.decode (Shard_map.encode map) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok map' ->
-      Alcotest.(check int) "version" 7 (Shard_map.version map');
-      Alcotest.(check int) "shards" 2 (Shard_map.n_shards map');
-      Alcotest.(check int) "rules survive" 1 (Shard_map.route map' "/a/x");
-      Alcotest.(check int) "rules survive 2" 0 (Shard_map.route map' "/b/c")
-
+(* The map is built only through [Shard_map.v], which refuses the
+   malformed maps a router must never see. *)
 let test_map_rejects () =
-  List.iter
-    (fun bytes ->
-      match Shard_map.decode bytes with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted malformed map %S" bytes)
-    [ ""; "garbage"; Edc_wire.Wire.(encode (Int 3)) ];
-  (* out-of-range rule shard *)
-  let bad =
-    Edc_wire.Wire.(
-      encode
-        (List
-           [ Int 1; Int 2; List [ List [ Str "/a"; Int 9 ] ] ]))
+  let rejected name f =
+    match f () with
+    | (_ : Shard_map.t) -> Alcotest.failf "accepted %s" name
+    | exception Invalid_argument _ -> ()
   in
-  match Shard_map.decode bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted rule pointing past n_shards"
+  rejected "zero shards" (fun () -> Shard_map.v 0);
+  rejected "negative shard count" (fun () -> Shard_map.v (-2));
+  rejected "rule pointing past n_shards" (fun () ->
+      Shard_map.v ~rules:[ { Shard_map.prefix = "/a"; shard = 2 } ] 2);
+  rejected "negative rule shard" (fun () ->
+      Shard_map.v ~rules:[ { Shard_map.prefix = "/a"; shard = -1 } ] 2)
 
 (* Satellite property: any subscriber whose pattern can match a path
    routed to shard S is itself resolvable on S — or flagged cross-shard.
@@ -417,7 +396,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_map_basics;
           Alcotest.test_case "placement rules" `Quick test_map_rules;
-          Alcotest.test_case "wire roundtrip" `Quick test_map_wire_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_map_rejects;
           qc prop_pattern_routing;
         ] );

@@ -17,27 +17,7 @@ module W = Edc_checker.Wgl
 let qc = QCheck_alcotest.to_alcotest
 
 let portable_bytes (p : Data_tree.portable) =
-  Edc_wire.Wire.encode (Zk.Wire_format.portable_to_wire p)
-
-(* Toy payload-history codec for bare-Zab state transfer tests. *)
-let hist_encode (hist : (Zab.zxid * string) list) =
-  Edc_wire.Wire.encode
-    (Edc_wire.Wire.List
-       (List.map
-          (fun ((z : Zab.zxid), s) ->
-            Edc_wire.Wire.(List [ Int z.epoch; Int z.counter; Str s ]))
-          hist))
-
-let hist_decode blob : ((Zab.zxid * string) list, string) result =
-  Result.bind (Edc_wire.Wire.decode blob) (fun w ->
-      Edc_wire.Wire.map_list
-        (function
-          | Edc_wire.Wire.List
-              [ Edc_wire.Wire.Int epoch; Edc_wire.Wire.Int counter;
-                Edc_wire.Wire.Str s ] ->
-              Ok ({ Zab.epoch; counter }, s)
-          | _ -> Error "bad history entry")
-        w)
+  Edc_wire.Wire.Writer.with_writer (fun w -> Zk.Wire_format.write_portable w p)
 
 (* ------------------------------------------------------------------ *)
 (* COW images vs. a deep-copy oracle (QCheck differential)             *)
@@ -314,10 +294,10 @@ let test_mid_transfer_link_kill_resumes () =
     (fun i ->
       Zab.compact c.zreplicas.(i) ~take:(fun () ->
           let hist = c.zdelivered.(i) in
-          fun () -> hist_encode hist))
+          fun () -> Hist_codec.encode hist))
     [ 0; 1 ];
   Zab.set_install_snapshot c.zreplicas.(2) (fun blob ->
-      Result.map (fun h -> c.zdelivered.(2) <- h) (hist_decode blob));
+      Result.map (fun h -> c.zdelivered.(2) <- h) (Hist_codec.decode blob));
   Net.set_node_up c.znet 2;
   Zab.restart c.zreplicas.(2);
   (* summed over replicas: the cut below outlasts the election timeout,

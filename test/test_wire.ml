@@ -52,10 +52,6 @@ let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire encode/decode roundtrip" ~count:500 wire_arb
     (fun v -> Wire.decode (Wire.encode v) = Ok v)
 
-let prop_wire_size =
-  QCheck.Test.make ~name:"wire size matches encoded length" ~count:500
-    wire_arb (fun v -> Wire.size v = String.length (Wire.encode v))
-
 (* truncation at EVERY byte offset must be a clean [Error] *)
 let prop_wire_truncation =
   QCheck.Test.make ~name:"wire decode of every truncation errors" ~count:200
@@ -234,13 +230,22 @@ let zab_samples : string Zab.msg list =
     Observer_request { epoch = 9; id = 3 };
   ]
 
+module W = Wire.Writer
+module R = Wire.Reader
+
+let encode_zab (m : string Zab.msg) =
+  W.with_writer (fun w -> Zab_wire.write ~payload:W.str w m)
+
+let decode_zab s = R.run s (Zab_wire.read ~payload:R.str)
+
+let roundtrip name write read x =
+  match R.run (W.with_writer (fun w -> write w x)) read with
+  | Ok x' -> Alcotest.(check bool) name true (x = x')
+  | Error e -> Alcotest.failf "%s decode: %s" name e
+
 let test_zab_msg_roundtrip () =
   List.iter
-    (fun m ->
-      let w = Zab_wire.to_wire ~payload:(fun s -> Wire.Str s) m in
-      match Result.bind (Wire.decode (Wire.encode w)) (Zab_wire.of_wire ~payload:Wire.to_str) with
-      | Ok m' -> Alcotest.(check bool) "zab msg" true (m = m')
-      | Error e -> Alcotest.failf "zab msg decode: %s" e)
+    (roundtrip "zab msg" (Zab_wire.write ~payload:W.str) (Zab_wire.read ~payload:R.str))
     zab_samples
 
 (* fuzz the read-path frames (tags 0/13/14): round-trip for arbitrary
@@ -261,12 +266,6 @@ let lease_frame_arb =
   in
   QCheck.make gen
 
-let encode_zab (m : string Zab.msg) =
-  Wire.encode (Zab_wire.to_wire ~payload:(fun s -> Wire.Str s) m)
-
-let decode_zab s =
-  Result.bind (Wire.decode s) (Zab_wire.of_wire ~payload:Wire.to_str)
-
 let prop_lease_frames_roundtrip =
   QCheck.Test.make ~name:"lease/observer frames roundtrip" ~count:500
     lease_frame_arb (fun m -> decode_zab (encode_zab m) = Ok m)
@@ -283,18 +282,18 @@ let prop_lease_frames_truncation =
       done;
       !ok)
 
+(* well-formed frames of any shape, most of them no zab message *)
 let prop_zab_decoder_garbage =
   QCheck.Test.make ~name:"zab decoder never raises on garbage frames"
     ~count:500 wire_arb (fun w ->
-      match Zab_wire.of_wire ~payload:Wire.to_str w with
-      | Ok _ | Error _ -> true)
+      match decode_zab (Wire.encode w) with Ok _ | Error _ -> true)
 
 let test_lease_frames_malformed () =
   (* wrong arity / wrong field kinds on the new tags must come back as the
      standard decode error, same convention as the PR 6/7 frames *)
   List.iter
     (fun (name, w) ->
-      match Zab_wire.of_wire ~payload:Wire.to_str w with
+      match decode_zab (Wire.encode w) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s decoded" name)
     [
@@ -324,11 +323,7 @@ let pbft_samples : string Pbft.msg list =
 
 let test_pbft_msg_roundtrip () =
   List.iter
-    (fun m ->
-      let w = Pbft_wire.to_wire ~payload:(fun s -> Wire.Str s) m in
-      match Result.bind (Wire.decode (Wire.encode w)) (Pbft_wire.of_wire ~payload:Wire.to_str) with
-      | Ok m' -> Alcotest.(check bool) "pbft msg" true (m = m')
-      | Error e -> Alcotest.failf "pbft msg decode: %s" e)
+    (roundtrip "pbft msg" (Pbft_wire.write ~payload:W.str) (Pbft_wire.read ~payload:R.str))
     pbft_samples
 
 let stat : Edc_zookeeper.Znode.stat =
@@ -408,26 +403,9 @@ let server_wire_samples : Zk.Server.wire list =
 
 let test_protocol_roundtrip () =
   let module WF = Zk.Wire_format in
-  List.iter
-    (fun op ->
-      match Result.bind (Wire.decode (Wire.encode (WF.op_to_wire op))) WF.op_of_wire with
-      | Ok op' -> Alcotest.(check bool) "op" true (op = op')
-      | Error e -> Alcotest.failf "op decode: %s" e)
-    op_samples;
-  List.iter
-    (fun r ->
-      match
-        Result.bind (Wire.decode (Wire.encode (WF.result_to_wire r))) WF.result_of_wire
-      with
-      | Ok r' -> Alcotest.(check bool) "result" true (r = r')
-      | Error e -> Alcotest.failf "result decode: %s" e)
-    result_samples;
-  List.iter
-    (fun t ->
-      match Result.bind (Wire.decode (Wire.encode (WF.txn_to_wire t))) WF.txn_of_wire with
-      | Ok t' -> Alcotest.(check bool) "txn" true (t = t')
-      | Error e -> Alcotest.failf "txn decode: %s" e)
-    txn_samples
+  List.iter (roundtrip "op" WF.write_op WF.read_op) op_samples;
+  List.iter (roundtrip "result" WF.write_result WF.read_result) result_samples;
+  List.iter (roundtrip "txn" WF.write_txn WF.read_txn) txn_samples
 
 let test_server_wire_roundtrip () =
   List.iter
@@ -451,9 +429,6 @@ let test_server_wire_roundtrip () =
 (* shape above.  Byte-identity is what lets the hot paths skip the     *)
 (* tree without weakening the canonical-form guarantee.                *)
 (* ------------------------------------------------------------------ *)
-
-module W = Wire.Writer
-module R = Wire.Reader
 
 let stream_of_tree v = W.with_writer (fun w -> W.tree w v)
 let tree_of_stream s = R.run s R.tree
@@ -539,69 +514,45 @@ let test_writer_rejects_overdeep () =
   | exception Invalid_argument _ -> ()
 
 (* every message shape in this file: streaming writer output is
-   byte-identical to the tree encoder, and the streaming reader gets the
+   byte-identical to the tree encoder's rendering of the same frame (the
+   writers emit canonical frames only), and the streaming reader gets the
    value back *)
-let check_identity name tree_bytes stream_bytes =
-  if not (String.equal tree_bytes stream_bytes) then
-    Alcotest.failf "%s: streaming encode differs from tree encode" name
+let canonical s =
+  match Wire.decode s with
+  | Ok v -> String.equal (Wire.encode v) s
+  | Error _ -> false
+
+let check_stream name write read x =
+  if not (canonical (W.with_writer (fun w -> write w x))) then
+    Alcotest.failf "%s: streaming encode differs from tree encode" name;
+  roundtrip name write read x
 
 let test_stream_messages_byte_identical () =
   let module WF = Zk.Wire_format in
   List.iter
-    (fun m ->
-      let s = W.with_writer (fun w -> Zab_wire.write ~payload:W.str w m) in
-      check_identity "zab" (encode_zab m) s;
-      match R.run s (Zab_wire.read ~payload:R.str) with
-      | Ok m' when m = m' -> ()
-      | Ok _ -> Alcotest.fail "zab stream read mismatch"
-      | Error e -> Alcotest.failf "zab stream read: %s" e)
+    (check_stream "zab" (Zab_wire.write ~payload:W.str) (Zab_wire.read ~payload:R.str))
     zab_samples;
   List.iter
-    (fun m ->
-      let s = W.with_writer (fun w -> Pbft_wire.write ~payload:W.str w m) in
-      check_identity "pbft"
-        (Wire.encode (Pbft_wire.to_wire ~payload:(fun p -> Wire.Str p) m))
-        s;
-      match R.run s (Pbft_wire.read ~payload:R.str) with
-      | Ok m' when m = m' -> ()
-      | Ok _ -> Alcotest.fail "pbft stream read mismatch"
-      | Error e -> Alcotest.failf "pbft stream read: %s" e)
+    (check_stream "pbft" (Pbft_wire.write ~payload:W.str) (Pbft_wire.read ~payload:R.str))
     pbft_samples;
+  List.iter (check_stream "op" WF.write_op WF.read_op) op_samples;
+  List.iter (check_stream "result" WF.write_result WF.read_result) result_samples;
+  List.iter (check_stream "txn" WF.write_txn WF.read_txn) txn_samples;
   List.iter
-    (fun op ->
-      let s = W.with_writer (fun w -> WF.write_op w op) in
-      check_identity "op" (Wire.encode (WF.op_to_wire op)) s;
-      match R.run s WF.read_op with
-      | Ok op' when op = op' -> ()
-      | _ -> Alcotest.fail "op stream read mismatch")
-    op_samples;
-  List.iter
-    (fun r_ ->
-      let s = W.with_writer (fun w -> WF.write_result w r_) in
-      check_identity "result" (Wire.encode (WF.result_to_wire r_)) s;
-      match R.run s WF.read_result with
-      | Ok r' when r_ = r' -> ()
-      | _ -> Alcotest.fail "result stream read mismatch")
-    result_samples;
-  List.iter
-    (fun t ->
-      let s = W.with_writer (fun w -> WF.write_txn w t) in
-      check_identity "txn" (Wire.encode (WF.txn_to_wire t)) s;
-      match R.run s WF.read_txn with
-      | Ok t' when t = t' -> ()
-      | _ -> Alcotest.fail "txn stream read mismatch")
-    txn_samples;
-  List.iter
-    (fun m ->
-      check_identity "server wire" (Zk.Server_wire.encode_tree m)
-        (Zk.Server_wire.encode m))
+    (check_stream "server wire" Zk.Server_wire.write Zk.Server_wire.read)
     server_wire_samples
 
 (* the server-wire streaming decoder (the TCP hot path) agrees with the
-   tree decoder on the corpus, every truncation, and every bit flip *)
+   tree decoder followed by the message reader, on the corpus, every
+   truncation, and every bit flip: whatever the frame parser rejects the
+   streaming decoder rejects too, and what it accepts it reads to the
+   same value *)
 let test_server_wire_decode_differential () =
+  let via_tree s =
+    Result.bind (Wire.decode s) (fun v -> Zk.Server_wire.decode (Wire.encode v))
+  in
   let agree name s =
-    match (Zk.Server_wire.decode s, Zk.Server_wire.decode_tree s) with
+    match (Zk.Server_wire.decode s, via_tree s) with
     | Ok a, Ok b when a = b -> ()
     | Error _, Error _ -> ()
     | Ok _, Ok _ -> Alcotest.failf "%s: decoders return different values" name
@@ -823,42 +774,17 @@ let test_snapshot_corrupt_blob_rejected () =
       let blob = Zk.Server.snapshot_bytes src in
       Alcotest.(check bool) (what ^ ": capture is deterministic") true
         (String.equal blob (Zk.Server.snapshot_bytes src));
-      (* the streaming snapshot writer (§6g) and the tree-building oracle
-         must produce the same bytes — snapshot digests stay comparable
-         across the two paths *)
-      Alcotest.(check bool)
-        (what ^ ": streaming snapshot writer byte-identical to tree oracle")
-        true
-        (String.equal blob (Zk.Server.snapshot_bytes_tree src));
+      (* the streamed blob is a canonical frame: the reference parser
+         accepts it and re-encodes it byte for byte (its layout is pinned
+         by the golden corpus) *)
+      Alcotest.(check bool) (what ^ ": blob is a canonical frame") true
+        (canonical blob);
       corrupt_sweep what blob)
     [ ("unsharded", unsharded_snapshot_source ());
       ("sharded", sharded_snapshot_source ()) ]
 
 (* a follower whose install hook rejects the blob re-requests the
    transfer instead of dying; once the hook accepts, it catches up *)
-
-let hist_encode (hist : (Zab.zxid * string) list) =
-  Wire.encode
-    (Wire.List
-       (List.map
-          (fun ((z : Zab.zxid), s) ->
-            Wire.List [ Wire.Int z.epoch; Wire.Int z.counter; Wire.Str s ])
-          hist))
-
-let hist_decode blob =
-  let ( let* ) = Result.bind in
-  let* w = Wire.decode blob in
-  Wire.map_list
-    (fun item ->
-      let* l = Wire.to_list item in
-      match l with
-      | [ e; c; s ] ->
-          let* epoch = Wire.to_int e in
-          let* counter = Wire.to_int c in
-          let* s = Wire.to_str s in
-          Ok (({ Zab.epoch; counter } : Zab.zxid), s)
-      | _ -> Error "history entry shape")
-    w
 
 let test_follower_rerequests_on_reject () =
   let n = 3 in
@@ -892,7 +818,7 @@ let test_follower_rerequests_on_reject () =
     (fun i ->
       Zab.compact replicas.(i) ~take:(fun () ->
           let hist = delivered.(i) in
-          fun () -> hist_encode hist))
+          fun () -> Hist_codec.encode hist))
     [ 0; 1 ];
   (* reject the first two completed transfers, accept from then on *)
   let rejections = ref 2 in
@@ -901,7 +827,7 @@ let test_follower_rerequests_on_reject () =
         decr rejections;
         Error "injected reject"
       end
-      else Result.map (fun h -> delivered.(2) <- h) (hist_decode blob));
+      else Result.map (fun h -> delivered.(2) <- h) (Hist_codec.decode blob));
   Net.set_node_up net 2;
   Zab.restart replicas.(2);
   let caught_up () = List.length delivered.(2) >= 200 in
@@ -1126,11 +1052,10 @@ let test_tcp_failed_flush_drops_only_its_connection () =
   List.iter Unix.close [ p1; p2'; l1; l2 ]
 
 (* ------------------------------------------------------------------ *)
-(* 2PC frames and shard-map payloads (§6j)                             *)
+(* 2PC write ops and log records (§6j)                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Two_pc = Edc_replication.Two_pc
-module Shard_map = Edc_sharding.Shard_map
 
 let twopc_wop_gen =
   let open QCheck.Gen in
@@ -1149,24 +1074,24 @@ let twopc_wop_gen =
     ]
 
 (* the wop streaming writer feeds the snapshot blob's prepared-txn
-   section: byte-identity with the tree encoder, and the streaming
-   reader inverts it *)
+   section: byte-identity with the tree encoder's rendering of the same
+   frame, and the streaming reader inverts it *)
 let prop_twopc_wop_stream_identity =
   QCheck.Test.make ~name:"2pc wop streaming writer byte-identical, reads back"
     ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Two_pc.pp_wop) twopc_wop_gen)
     (fun op ->
-      let stream = Wire.Writer.with_writer (fun w -> Two_pc.write_wop w op) in
-      String.equal stream (Wire.encode (Two_pc.wop_to_wire op))
-      && Wire.Reader.run stream Two_pc.read_wop = Ok op)
+      let stream = W.with_writer (fun w -> Two_pc.write_wop w op) in
+      canonical stream && R.run stream Two_pc.read_wop = Ok op)
+
+let twopc_txid =
+  QCheck.Gen.map3
+    (fun s e c -> Printf.sprintf "s%d.e%d.%d" s e c)
+    (QCheck.Gen.int_range 0 15) (QCheck.Gen.int_range 0 9) (QCheck.Gen.int_range 0 999)
 
 let twopc_frame_arb =
   let open QCheck.Gen in
-  let txid =
-    map3
-      (fun s e c -> Printf.sprintf "s%d.e%d.%d" s e c)
-      (int_range 0 15) (int_range 0 9) (int_range 0 999)
-  in
+  let txid = twopc_txid in
   let wop = twopc_wop_gen in
   let frame =
     oneof
@@ -1190,26 +1115,43 @@ let twopc_frame_arb =
     ~print:(fun f -> Format.asprintf "%a" Two_pc.pp_frame f)
     frame
 
-let twopc_encode f = Wire.encode (Two_pc.frame_to_wire f)
-
-let twopc_decode s =
-  match Wire.decode s with
-  | Error _ as e -> e
-  | Ok w -> Two_pc.frame_of_wire w
-
-let prop_twopc_roundtrip =
-  QCheck.Test.make ~name:"2pc frames roundtrip" ~count:500 twopc_frame_arb
-    (fun f -> twopc_decode (twopc_encode f) = Ok f)
-
 let prop_twopc_size =
   QCheck.Test.make ~name:"2pc frame_size bounds payload" ~count:500
     twopc_frame_arb (fun f -> Two_pc.frame_size f > 0)
 
+(* Inter-shard frames travel as values; the 2PC steps that cross bytes
+   are the records each shard logs — prepare (with its wops), the
+   coordinator's decision, and the resolution — framed as txn ops. *)
+let twopc_record_arb =
+  let open QCheck.Gen in
+  let record =
+    oneof
+      [
+        (let* txid = twopc_txid in
+         let* coord = int_range 0 15 in
+         let* ops = list_size (int_range 0 5) twopc_wop_gen in
+         return (Txn.Tprep { txid; coord; ops }));
+        (let* txid = twopc_txid in
+         let* commit = bool in
+         let* participants = list_size (int_range 1 4) (int_range 0 15) in
+         return (Txn.Tdecide { txid; commit; participants }));
+        map2 (fun txid commit -> Txn.Tresolve { txid; commit }) twopc_txid bool;
+      ]
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Txn.pp_op) record
+
+let twopc_encode op = W.with_writer (fun w -> Zk.Wire_format.write_txn_op w op)
+let twopc_decode s = R.run s Zk.Wire_format.read_txn_op
+
+let prop_twopc_roundtrip =
+  QCheck.Test.make ~name:"2pc frames roundtrip" ~count:500 twopc_record_arb
+    (fun op -> twopc_decode (twopc_encode op) = Ok op)
+
 (* truncation at EVERY byte offset must be a clean [Error] *)
 let prop_twopc_truncation =
   QCheck.Test.make ~name:"2pc frame truncations all rejected" ~count:200
-    twopc_frame_arb (fun f ->
-      let s = twopc_encode f in
+    twopc_record_arb (fun op ->
+      let s = twopc_encode op in
       let ok = ref true in
       for k = 0 to String.length s - 1 do
         match twopc_decode (String.sub s 0 k) with
@@ -1221,29 +1163,33 @@ let prop_twopc_truncation =
 let prop_twopc_garbage =
   QCheck.Test.make ~name:"2pc decoder total on garbage" ~count:1000
     QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
-    (fun s -> match twopc_decode s with Ok _ | Error _ -> true)
+    (fun s ->
+      (match twopc_decode s with Ok _ | Error _ -> true)
+      && match R.run s Two_pc.read_wop with Ok _ | Error _ -> true)
 
-(* random well-formed wire trees that are NOT 2pc frames must be refused
-   without raising *)
+(* random well-formed wire trees that are NOT 2pc records or wops must be
+   refused without raising *)
 let prop_twopc_wrong_shape =
   QCheck.Test.make ~name:"2pc decoder refuses foreign wire trees" ~count:500
     wire_arb (fun w ->
-      match Two_pc.frame_of_wire w with Ok _ | Error _ -> true)
+      let s = Wire.encode w in
+      (match twopc_decode s with Ok _ | Error _ -> true)
+      && match R.run s Two_pc.read_wop with Ok _ | Error _ -> true)
 
 let test_twopc_crafted_malformed () =
   let reject name s =
     match twopc_decode s with
     | Error _ -> ()
-    | Ok f ->
+    | Ok op ->
         Alcotest.failf "%s decoded to %s" name
-          (Format.asprintf "%a" Two_pc.pp_frame f)
+          (Format.asprintf "%a" Txn.pp_op op)
   in
   (* non-minimal varint inside an otherwise valid frame: re-spell the
      leading length byte of the encoded frame as a 2-byte varint *)
-  let s = twopc_encode (Two_pc.Commit { txid = "s0.e1.2" }) in
-  (match Wire.decode s with
+  let s = twopc_encode (Txn.Tresolve { txid = "s0.e1.2"; commit = true }) in
+  (match twopc_decode s with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "valid commit frame rejected: %s" e);
+  | Error e -> Alcotest.failf "valid resolve frame rejected: %s" e);
   let n = Char.code s.[1] in
   if n < 0x80 then
     reject "non-minimal frame length varint"
@@ -1252,57 +1198,19 @@ let test_twopc_crafted_malformed () =
       ^ "\x00"
       ^ String.sub s 2 (String.length s - 2));
   (* truncated mid-frame and pure garbage *)
-  reject "truncated commit" (String.sub s 0 (String.length s - 1));
+  reject "truncated resolve" (String.sub s 0 (String.length s - 1));
   reject "garbage" "\xde\xad\xbe\xef";
   (* structurally valid wire, wrong arity / tag *)
-  reject "unknown frame tag"
+  reject "unknown record tag"
     (Wire.encode (Wire.List [ Wire.Int 99; Wire.Str "t" ]));
   reject "prepare with non-list ops"
     (Wire.encode
-       (Wire.List [ Wire.Int 0; Wire.Str "t"; Wire.Int 1; Wire.Int 2 ]))
-
-let shard_map_arb =
-  let open QCheck.Gen in
-  let gen =
-    let* n = int_range 1 16 in
-    let* version = int_range 0 1000 in
-    let* rules =
-      list_size (int_range 0 5)
-        (map2
-           (fun c shard -> { Shard_map.prefix = "/" ^ c; shard })
-           (string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
-           (int_range 0 (n - 1)))
-    in
-    return (Shard_map.v ~version ~rules n)
-  in
-  QCheck.make ~print:(Format.asprintf "%a" Shard_map.pp) gen
-
-let prop_shard_map_roundtrip =
-  QCheck.Test.make ~name:"shard-map payload roundtrip" ~count:500
-    shard_map_arb (fun m ->
-      match Shard_map.decode (Shard_map.encode m) with
-      | Ok m' ->
-          Shard_map.version m' = Shard_map.version m
-          && Shard_map.n_shards m' = Shard_map.n_shards m
-          && Shard_map.rules m' = Shard_map.rules m
-      | Error _ -> false)
-
-let prop_shard_map_truncation =
-  QCheck.Test.make ~name:"shard-map truncations all rejected" ~count:100
-    shard_map_arb (fun m ->
-      let s = Shard_map.encode m in
-      let ok = ref true in
-      for k = 0 to String.length s - 1 do
-        match Shard_map.decode (String.sub s 0 k) with
-        | Error _ -> ()
-        | Ok _ -> ok := false
-      done;
-      !ok)
-
-let prop_shard_map_garbage =
-  QCheck.Test.make ~name:"shard-map decoder total on garbage" ~count:1000
-    QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
-    (fun s -> match Shard_map.decode s with Ok _ | Error _ -> true)
+       (Wire.List [ Wire.Int 9; Wire.Str "t"; Wire.Int 1; Wire.Int 2 ]));
+  reject "prepare with a malformed wop"
+    (Wire.encode
+       (Wire.List
+          [ Wire.Int 9; Wire.Str "t"; Wire.Int 1;
+            Wire.List [ Wire.List [ Wire.Int 3; Wire.Str "/a" ] ] ]))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1312,7 +1220,6 @@ let () =
       ( "codec",
         [
           qc prop_wire_roundtrip;
-          qc prop_wire_size;
           qc prop_wire_truncation;
           qc prop_wire_garbage;
           qc prop_wire_bitflip;
@@ -1379,8 +1286,5 @@ let () =
           qc prop_twopc_wrong_shape;
           Alcotest.test_case "crafted malformed 2pc frames rejected" `Quick
             test_twopc_crafted_malformed;
-          qc prop_shard_map_roundtrip;
-          qc prop_shard_map_truncation;
-          qc prop_shard_map_garbage;
         ] );
     ]
