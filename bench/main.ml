@@ -466,9 +466,16 @@ let chaos quick =
   Report.fault_summary points;
   Report.snapshot_summary points;
   Report.wire_summary points;
-  Report.reconfig_summary points;
+  Report.reconfig_summary
+    (List.map
+       (fun p ->
+         (p.E.ch_kind, p.E.ch_seed, p.E.ch_reconfig, p.E.ch_reconfig_kills))
+       points);
   Report.error_taxonomy points;
-  Report.invariant_failures points;
+  Report.invariant_failures
+    (List.map
+       (fun p -> (p.E.ch_kind, p.E.ch_seed, p.E.ch_invariant_failures))
+       points);
   Report.fault_trace (List.hd points);
   (* Determinism: the same seed must reproduce the same fault trace. *)
   let p0 = List.hd points in
@@ -502,7 +509,6 @@ let chaos quick =
 (* ------------------------------------------------------------------ *)
 
 module Ck_history = Edc_checker.History
-module Ck_model = Edc_checker.Model
 module Ck_wgl = Edc_checker.Wgl
 module Instrument = Edc_checker.Instrument
 module Counter = Edc_recipes.Counter
@@ -632,13 +638,7 @@ let linearize quick =
                         match r with Ok _ -> Ok 3 | Error e -> Error e)));
           }
       in
-      let verdicts =
-        Ck_history.entries history
-        |> Ck_history.split
-        |> List.filter_map (fun (obj, es) ->
-               Ck_model.for_object obj
-               |> Option.map (fun m -> (obj, Ck_wgl.check m es)))
-      in
+      let verdicts = Ck_wgl.check_history history in
       Printf.printf "  %-10s %5d events  %s\n%!" (S.kind_name kind)
         (Ck_history.n_events history)
         (String.concat "  "
@@ -711,6 +711,8 @@ let verdict_json = function
   | Ck_wgl.Non_linearizable _ -> "violation"
   | Ck_wgl.Budget_exhausted _ -> "inconclusive"
 
+module Zab = Edc_replication.Zab
+
 let json_of_membership (p : E.membership_point) =
   let r = p.E.mp_reconfig in
   let floats fs = Bench_json.List (List.map (fun f -> Bench_json.Float f) fs) in
@@ -726,15 +728,15 @@ let json_of_membership (p : E.membership_point) =
           (List.map (fun i -> Bench_json.Int i) p.E.mp_members_final) );
       ("grow_ms", floats p.E.mp_grow_ms);
       ("shrink_ms", floats p.E.mp_shrink_ms);
-      ("joins_attempted", Bench_json.Int r.E.rs_joins_attempted);
-      ("joins_completed", Bench_json.Int r.E.rs_joins_completed);
-      ("leaves_attempted", Bench_json.Int r.E.rs_leaves_attempted);
-      ("leaves_completed", Bench_json.Int r.E.rs_leaves_completed);
-      ("joint_commits", Bench_json.Int r.E.rs_joint_commits);
-      ("finals_committed", Bench_json.Int r.E.rs_finals_committed);
-      ("aborted", Bench_json.Int r.E.rs_aborted);
-      ("fenced", Bench_json.Int r.E.rs_fenced);
-      ("catchup_ms", floats r.E.rs_catchup_ms);
+      ("joins_attempted", Bench_json.Int r.Zab.joins_requested);
+      ("joins_completed", Bench_json.Int r.Zab.joins_completed);
+      ("leaves_attempted", Bench_json.Int r.Zab.leaves_requested);
+      ("leaves_completed", Bench_json.Int r.Zab.leaves_completed);
+      ("joint_commits", Bench_json.Int r.Zab.joint_commits);
+      ("finals_committed", Bench_json.Int r.Zab.finals_committed);
+      ("aborted", Bench_json.Int r.Zab.aborted);
+      ("fenced", Bench_json.Int r.Zab.fences);
+      ("catchup_ms", floats r.Zab.catchup_ms);
       ("reconfig_kills", Bench_json.Int p.E.mp_reconfig_kills);
       ("crashes", Bench_json.Int p.E.mp_crashes);
       ("leader_kills", Bench_json.Int p.E.mp_leader_kills);
@@ -785,8 +787,15 @@ let membership quick =
       kinds
   in
   Report.membership_table points;
-  Report.membership_reconfig_summary points;
-  Report.membership_invariant_failures points;
+  Report.reconfig_summary
+    (List.map
+       (fun p ->
+         (p.E.mp_kind, p.E.mp_seed, p.E.mp_reconfig, p.E.mp_reconfig_kills))
+       points);
+  Report.invariant_failures
+    (List.map
+       (fun p -> (p.E.mp_kind, p.E.mp_seed, p.E.mp_invariant_failures))
+       points);
   let p0 = List.hd points in
   Printf.printf "\nfault trace (%s, seed %d):\n%s"
     (S.kind_name p0.E.mp_kind) p0.E.mp_seed p0.E.mp_trace;

@@ -9,7 +9,6 @@ open Edc_sharding
 module Zk = Edc_zookeeper
 module Two_pc = Edc_replication.Two_pc
 module Ck_history = Edc_checker.History
-module Ck_model = Edc_checker.Model
 module Ck_wgl = Edc_checker.Wgl
 module Instrument = Edc_checker.Instrument
 module Atomicity = Edc_checker.Atomicity
@@ -427,11 +426,9 @@ let chaos_point ~quick seed =
   let wgl =
     List.concat
       (List.init n_groups (fun s ->
-           Ck_history.entries histories.(s)
-           |> Ck_history.split
-           |> List.filter_map (fun (obj, es) ->
-                  Ck_model.for_object obj
-                  |> Option.map (fun m -> (s, obj, Ck_wgl.check m es)))))
+           List.map
+             (fun (obj, v) -> (s, obj, v))
+             (Ck_wgl.check_history histories.(s))))
   in
   let audits = Shard_cluster.audits cluster in
   let atomicity =

@@ -304,7 +304,11 @@ let check ?(max_steps = 300_000) (model : Model.t) entries =
     grow (-1) (min (m - 1) 63)
   end
 
-let check_history ?max_steps model h = check ?max_steps model (History.entries h)
+let check_history ?max_steps h =
+  History.entries h |> History.split
+  |> List.filter_map (fun (obj, es) ->
+         Model.for_object obj
+         |> Option.map (fun m -> (obj, check ?max_steps m es)))
 
 let pp_window ppf window =
   let cap = 16 in

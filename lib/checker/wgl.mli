@@ -40,7 +40,11 @@ val check :
 (** [max_steps] bounds each search attempt (the full history and each
     minimization probe separately); default 300_000. *)
 
-val check_history : ?max_steps:int -> Model.t -> History.t -> verdict
+val check_history :
+  ?max_steps:int -> History.t -> (string * verdict) list
+(** The compositional pass: one search per object of the history that
+    {!Model.for_object} knows, paired with the object's name, in
+    {!History.split} order. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_window : Format.formatter -> History.entry list -> unit

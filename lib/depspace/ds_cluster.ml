@@ -15,20 +15,9 @@ type t = {
 
 let client_addr_base = 1000
 
-let create ?(f = 1) ?net_config ?server_config ?pbft_config ?batch sim =
+let create ?(f = 1) ?net_config ?server_config ?pbft_config sim =
   let n = (3 * f) + 1 in
   let net = Net.create ?config:net_config sim in
-  let pbft_config =
-    (* [?batch] overrides just the batching knob of the pbft config in
-       effect (see Cluster.create). *)
-    match batch with
-    | None -> pbft_config
-    | Some b ->
-        let base =
-          Option.value pbft_config ~default:Edc_replication.Pbft.default_config
-        in
-        Some { base with Edc_replication.Pbft.batch = b }
-  in
   let replica_ids = List.init n Fun.id in
   let servers =
     Array.init n (fun id ->
@@ -57,5 +46,34 @@ let crash_server t i =
 let restart_server t i =
   Net.set_node_up t.net i;
   Ds_server.restart t.servers.(i)
+
+let nemesis_target t ~name ~crash ~restart =
+  let n = Array.length t.servers in
+  {
+    Nemesis.name = name;
+    nodes = List.init n Fun.id;
+    leader =
+      (fun () ->
+        (* the primary of the current PBFT view, if it is alive *)
+        let rec find i =
+          if i >= n then None
+          else if
+            Edc_replication.Pbft.is_primary (Ds_server.pbft t.servers.(i))
+          then Some i
+          else find (i + 1)
+        in
+        find 0);
+    crash;
+    restart;
+    cut = Net.cut_link t.net;
+    heal = Net.heal_link t.net;
+    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way t.net ~src ~dst);
+    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way t.net ~src ~dst);
+    silence = Net.set_node_down t.net;
+    unsilence = Net.set_node_up t.net;
+    (* PBFT membership is static in this deployment *)
+    reconfig_in_flight = (fun () -> false);
+    set_skew = (fun _ _ -> ()) (* no leases, no virtual clock *);
+  }
 
 let run_for t d = Sim.run ~until:(Sim_time.add (Sim.now t.sim) d) t.sim

@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Ds_server.config ->
   ?pbft_config:Edc_replication.Pbft.config ->
-  ?batch:Edc_replication.Batching.config ->
   Sim.t ->
   t
 
@@ -27,5 +26,15 @@ val crash_server : t -> int -> unit
 
 (** Revive a crashed replica (network + PBFT view/state recovery). *)
 val restart_server : t -> int -> unit
+
+(** The Nemesis adapter for this ensemble: leader = the PBFT primary;
+    membership is static.  [crash]/[restart] are the deployment's own
+    (EDS's restart also rebuilds the extension manager). *)
+val nemesis_target :
+  t ->
+  name:string ->
+  crash:(int -> unit) ->
+  restart:(int -> unit) ->
+  Nemesis.target
 
 val run_for : t -> Sim_time.t -> unit

@@ -12,7 +12,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Server.config ->
   ?zab_config:Edc_replication.Zab.config ->
-  ?batch:Edc_replication.Batching.config ->
   Sim.t ->
   t
 
@@ -44,8 +43,5 @@ val add_observer : t -> int
 
 (** Joint-consensus removal of replica [id] via the current leader. *)
 val remove_server : t -> id:int -> (unit, string) result
-
-(** Bind nemesis actions to this deployment (leader = Zab leader). *)
-val nemesis_target : t -> Nemesis.target
 
 val run_for : t -> Sim_time.t -> unit

@@ -536,33 +536,6 @@ let lin_recipes_point ?(seed = 42) ?(contenders = 3) ?(rounds = 6)
 (* Chaos: availability under the nemesis fault schedule               *)
 (* ------------------------------------------------------------------ *)
 
-(** Membership-change outcome counters for one run, distilled from the
-    cluster-wide {!Edc_replication.Zab.reconfig_stats} aggregation. *)
-type reconfig_summary = {
-  rs_joins_attempted : int;
-  rs_joins_completed : int;
-  rs_leaves_attempted : int;
-  rs_leaves_completed : int;
-  rs_joint_commits : int;
-  rs_finals_committed : int;
-  rs_aborted : int;  (** joint entries truncated uncommitted *)
-  rs_fenced : int;  (** replica-fencing events *)
-  rs_catchup_ms : float list;  (** per-promoted-learner bootstrap times *)
-}
-
-let reconfig_summary_of_stats (r : Edc_replication.Zab.reconfig_stats) =
-  {
-    rs_joins_attempted = r.Edc_replication.Zab.joins_requested;
-    rs_joins_completed = r.Edc_replication.Zab.joins_completed;
-    rs_leaves_attempted = r.Edc_replication.Zab.leaves_requested;
-    rs_leaves_completed = r.Edc_replication.Zab.leaves_completed;
-    rs_joint_commits = r.Edc_replication.Zab.joint_commits;
-    rs_finals_committed = r.Edc_replication.Zab.finals_committed;
-    rs_aborted = r.Edc_replication.Zab.aborted;
-    rs_fenced = r.Edc_replication.Zab.fences;
-    rs_catchup_ms = r.Edc_replication.Zab.catchup_ms;
-  }
-
 type chaos_point = {
   ch_kind : Systems.kind;
   ch_seed : int;
@@ -602,30 +575,65 @@ type chaos_point = {
   ch_wire : Systems.wire_stats;
       (** serializer work during the run: frames encoded vs per-destination
           sends (zeros for the BFT deployments) *)
-  ch_reconfig : reconfig_summary;
+  ch_reconfig : Edc_replication.Zab.reconfig_stats;
       (** membership-change activity (all-zero when the schedule contains
           no reconfiguration and none was driven externally) *)
   ch_reconfig_kills : int;  (** reconfiguration-targeted leader strikes *)
 }
 
-(** Counter incrementers plus queue producers/consumers on resilient
-    sessions while the nemesis runs the fault [schedule]; afterwards the
-    final state is read back and checked against what clients were told.
+(* What the clients of one chaos run were told, and the state read back
+   after it: the conservation invariants compare the two. *)
+type ledger = {
+  mutable ok : int;
+  mutable maybe : int;
+  mutable failed : int;
+  taxonomy : (string, int) Hashtbl.t;
+  mutable success_times : Sim_time.t list;  (* newest first *)
+  mutable incr_confirmed : int;
+  mutable incr_maybe : int;
+  adds_confirmed : (string, unit) Hashtbl.t;
+  adds_maybe : (string, unit) Hashtbl.t;
+  mutable consumed : string list;
+  mutable removes_maybe : int;
+  mutable counter_final : int;
+  mutable remaining : string list;
+  mutable invariant_failures : string list;  (* newest first *)
+}
 
-    The safety invariants tolerate exactly the ambiguity the session layer
-    surfaces: every [Maybe_applied] write may or may not have executed, so
-    [confirmed <= final <= confirmed + maybe] for the counter, and a
-    confirmed queue element may only be missing if some remove concluded
-    ambiguously. *)
-let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
-    ?(schedule = Nemesis.standard_schedule) ?(horizon = Sim_time.sec 22)
-    ?(check = true) ?lin_max_steps kind =
-  let sim = Sim.create ~seed () in
-  let sys = Systems.make ?net_config ?zab_config ?server_config kind sim in
+type chaos_run = {
+  l : ledger;
+  nem : Nemesis.t;
+  anomalies : int;
+  errors : (string * int) list;  (* most frequent first *)
+  lin : (string * Ck_wgl.verdict) list;
+  history_events : int;
+}
+
+let invariant l name cond =
+  if not cond then l.invariant_failures <- name :: l.invariant_failures
+
+(* The chaos run both [chaos_point] and [membership_point] are made of:
+   [incrementers] counter clients (think time [think ()]) plus queue
+   [producers] and [consumers] on resilient sessions while the nemesis runs
+   [schedule] until [horizon]; [driver], if any, runs in a fiber of its
+   own beside them.  Clients stop at [ops_end]; once every op has
+   concluded, the final state is read back through a fresh client and
+   checked against the ledger.
+
+   The safety invariants tolerate exactly the ambiguity the session layer
+   surfaces: every [Maybe_applied] write may or may not have executed, so
+   [confirmed <= final <= confirmed + maybe] for the counter, and a
+   confirmed queue element may only be missing if some remove concluded
+   ambiguously. *)
+let run_chaos ~(sys : Systems.t) ~check ?lin_max_steps ~schedule ~horizon
+    ~ops_end ~incrementers ~producers ~consumers ~think ?driver () =
+  let sim = sys.Systems.sim in
   let history = Ck_history.create ~sim () in
-  let maybe_wrap api = if check then Instrument.wrap history api else api in
-  let extensible = Systems.is_extensible kind in
-  let ops_end = Sim_time.add horizon (Sim_time.sec 3) in
+  let client () =
+    let api = fst (sys.Systems.new_resilient_api ()) in
+    if check then Instrument.wrap history api else api
+  in
+  let extensible = Systems.is_extensible sys.Systems.kind in
   (* every resilient op concludes within the session deadline of its
      start, so final-state verification waits that long after [ops_end] *)
   let deadline =
@@ -633,30 +641,43 @@ let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
       ~default:(Sim_time.sec 30)
   in
   let verify_at = Sim_time.add ops_end (Sim_time.add deadline (Sim_time.sec 1)) in
-  let ok = ref 0 and maybe = ref 0 and failed = ref 0 in
-  let taxonomy : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let tax e =
-    Hashtbl.replace taxonomy e
-      (1 + Option.value ~default:0 (Hashtbl.find_opt taxonomy e))
+  let l =
+    {
+      ok = 0;
+      maybe = 0;
+      failed = 0;
+      taxonomy = Hashtbl.create 8;
+      success_times = [];
+      incr_confirmed = 0;
+      incr_maybe = 0;
+      adds_confirmed = Hashtbl.create 64;
+      adds_maybe = Hashtbl.create 16;
+      consumed = [];
+      removes_maybe = 0;
+      counter_final = 0;
+      remaining = [];
+      invariant_failures = [];
+    }
   in
-  let success_times = ref [] in
   let succeed () =
-    incr ok;
-    success_times := Sim.now sim :: !success_times
+    l.ok <- l.ok + 1;
+    l.success_times <- Sim.now sim :: l.success_times
   in
   let classify e ~on_maybe =
     if e = "maybe applied" then begin
       on_maybe ();
-      incr maybe
+      l.maybe <- l.maybe + 1
     end
-    else incr failed;
-    tax e
+    else l.failed <- l.failed + 1;
+    Hashtbl.replace l.taxonomy e
+      (1 + Option.value ~default:0 (Hashtbl.find_opt l.taxonomy e))
   in
-  let confirmed_incr = ref 0 and maybe_incr = ref 0 in
-  let confirmed_adds : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let maybe_adds : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let consumed = ref [] in
-  let maybe_removes = ref 0 in
+  let rec until_ops_end step =
+    if Sim_time.(Sim.now sim < ops_end) then begin
+      step ();
+      until_ops_end step
+    end
+  in
   let nemesis = ref None in
   let failure = ref None in
   Proc.spawn sim (fun () ->
@@ -672,138 +693,147 @@ let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
           Some
             (Nemesis.start ~sim ~target:(sys.Systems.nemesis_target ())
                ~horizon schedule);
-        (* three counter incrementers *)
-        for _ = 1 to 3 do
+        for _ = 1 to incrementers do
           Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+              let api = client () in
               if extensible then ack_if_ext api Counter.extension_name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
+              until_ops_end (fun () ->
                   (match
                      if extensible then Counter.increment_ext api
                      else Counter.increment_traditional api
                    with
                   | Ok _ ->
-                      incr confirmed_incr;
+                      l.incr_confirmed <- l.incr_confirmed + 1;
                       succeed ()
                   | Error e ->
-                      classify e ~on_maybe:(fun () -> incr maybe_incr));
-                  Proc.sleep sim (Sim_time.ms 20);
-                  loop ()
-                end
-              in
-              loop ())
+                      classify e ~on_maybe:(fun () ->
+                          l.incr_maybe <- l.incr_maybe + 1));
+                  Proc.sleep sim (think ())))
         done;
-        (* two producers: element data = eid, so consumed elements are
-           identifiable for the conservation check *)
-        for _ = 1 to 2 do
+        (* element data = eid, so consumed elements are identifiable for
+           the conservation check *)
+        for _ = 1 to producers do
           Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+              let api = client () in
               if extensible then ack_if_ext api Queue.extension_name;
               let i = ref 0 in
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
+              until_ops_end (fun () ->
                   incr i;
                   let eid = Queue.make_eid api !i in
                   (match Queue.add api ~eid ~data:eid with
                   | Ok () ->
-                      Hashtbl.replace confirmed_adds eid ();
+                      Hashtbl.replace l.adds_confirmed eid ();
                       succeed ()
                   | Error e ->
                       classify e ~on_maybe:(fun () ->
-                          Hashtbl.replace maybe_adds eid ()));
-                  Proc.sleep sim (Sim_time.ms 40);
-                  loop ()
-                end
-              in
-              loop ())
+                          Hashtbl.replace l.adds_maybe eid ()));
+                  Proc.sleep sim (Sim_time.ms 40)))
         done;
-        (* two consumers *)
-        for _ = 1 to 2 do
+        for _ = 1 to consumers do
           Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+              let api = client () in
               if extensible then ack_if_ext api Queue.extension_name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
+              until_ops_end (fun () ->
                   (match
                      if extensible then Queue.remove_ext api
                      else Queue.remove_traditional api
                    with
                   | Ok { Queue.data = Some d; _ } ->
-                      consumed := d :: !consumed;
+                      l.consumed <- d :: l.consumed;
                       succeed ()
                   | Ok { Queue.data = None; _ } ->
                       (* an empty poll is still a served request *)
                       succeed ();
                       Proc.sleep sim (Sim_time.ms 60)
                   | Error e ->
-                      classify e ~on_maybe:(fun () -> incr maybe_removes));
-                  Proc.sleep sim (Sim_time.ms 30);
-                  loop ()
-                end
-              in
-              loop ())
-        done
+                      classify e ~on_maybe:(fun () ->
+                          l.removes_maybe <- l.removes_maybe + 1));
+                  Proc.sleep sim (Sim_time.ms 30)))
+        done;
+        Option.iter
+          (fun driver ->
+            Proc.spawn sim (fun () ->
+                try driver ~invariant:(invariant l)
+                with e -> failure := Some e))
+          driver
       with e -> failure := Some e);
   Sim.run ~until:verify_at sim;
   (match !failure with Some e -> raise e | None -> ());
-  (* read back the final state through a fresh client *)
-  let final_counter = ref 0 in
-  let remaining = ref [] in
   Proc.spawn sim (fun () ->
       try
         (* the final reads go through the instrumented wrapper too: they
            pin the final state in the recorded history, so a lost or
-           double-applied write has to show up as a non-linearizable read *)
-        let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
+           double-applied write has to show up as a non-linearizable read.
+           A fenced replica refuses them, so they land on a live member. *)
+        let api = client () in
         (match api.Api.read ~oid:Counter.counter_oid with
-        | Ok (Some o) -> final_counter := int_of_string o.Api.data
+        | Ok (Some o) -> l.counter_final <- int_of_string o.Api.data
         | Ok None -> failwith "counter object vanished"
         | Error e -> failwith ("final counter read: " ^ e));
         match api.Api.sub_objects ~oid:Queue.root with
         | Ok objs ->
-            remaining := List.map (fun (o : Api.obj) -> o.Api.data) objs
+            l.remaining <- List.map (fun (o : Api.obj) -> o.Api.data) objs
         | Error e -> failwith ("final queue read: " ^ e)
       with e -> failure := Some e);
   Sim.run ~until:(Sim_time.add verify_at (Sim_time.sec 10)) sim;
   (match !failure with Some e -> raise e | None -> ());
-  let nem = Option.get !nemesis in
-  (* invariants *)
-  let invariant_failures = ref [] in
-  let invariant name cond =
-    if not cond then invariant_failures := name :: !invariant_failures
-  in
   let anomalies = sys.Systems.anomalies () in
-  invariant "replication anomalies = 0" (anomalies = 0);
-  invariant "counter >= confirmed increments" (!final_counter >= !confirmed_incr);
-  invariant "counter <= confirmed + ambiguous increments"
-    (!final_counter <= !confirmed_incr + !maybe_incr);
-  let sorted_consumed = List.sort compare !consumed in
+  invariant l "replication anomalies = 0" (anomalies = 0);
+  invariant l "counter >= confirmed increments"
+    (l.counter_final >= l.incr_confirmed);
+  invariant l "counter <= confirmed + ambiguous increments"
+    (l.counter_final <= l.incr_confirmed + l.incr_maybe);
   let rec has_dup = function
     | a :: (b :: _ as rest) -> a = b || has_dup rest
     | _ -> false
   in
-  invariant "no queue element consumed twice" (not (has_dup sorted_consumed));
-  invariant "consumed elements were added"
+  invariant l "no queue element consumed twice"
+    (not (has_dup (List.sort compare l.consumed)));
+  invariant l "consumed elements were added"
     (List.for_all
-       (fun d -> Hashtbl.mem confirmed_adds d || Hashtbl.mem maybe_adds d)
-       !consumed);
-  let consumed_set : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace consumed_set d ()) !consumed;
-  let remaining_set : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace remaining_set d ()) !remaining;
+       (fun d -> Hashtbl.mem l.adds_confirmed d || Hashtbl.mem l.adds_maybe d)
+       l.consumed);
+  let present : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun d -> Hashtbl.replace present d ()) (l.consumed @ l.remaining);
   let missing =
     Hashtbl.fold
-      (fun eid () acc ->
-        if Hashtbl.mem consumed_set eid || Hashtbl.mem remaining_set eid then
-          acc
-        else acc + 1)
-      confirmed_adds 0
+      (fun eid () acc -> if Hashtbl.mem present eid then acc else acc + 1)
+      l.adds_confirmed 0
   in
-  invariant "lost queue elements covered by ambiguous removes"
-    (missing <= !maybe_removes);
+  invariant l "lost queue elements covered by ambiguous removes"
+    (missing <= l.removes_maybe);
+  {
+    l;
+    nem = Option.get !nemesis;
+    anomalies;
+    errors =
+      Hashtbl.fold (fun e n acc -> (e, n) :: acc) l.taxonomy []
+      |> List.sort (fun (_, a) (_, b) -> compare b a);
+    (* compositional: one WGL search per object *)
+    lin =
+      (if check then Ck_wgl.check_history ?max_steps:lin_max_steps history
+       else []);
+    history_events = Ck_history.n_events history;
+  }
+
+(** Counter incrementers plus queue producers/consumers on resilient
+    sessions while the nemesis runs the fault [schedule]; afterwards the
+    final state is read back and checked against what clients were told. *)
+let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
+    ?(schedule = Nemesis.standard_schedule) ?(horizon = Sim_time.sec 22)
+    ?(check = true) ?lin_max_steps kind =
+  let sim = Sim.create ~seed () in
+  let sys = Systems.make ?net_config ?zab_config ?server_config kind sim in
+  let r =
+    run_chaos ~sys ~check ?lin_max_steps ~schedule ~horizon
+      ~ops_end:(Sim_time.add horizon (Sim_time.sec 3))
+      ~incrementers:3 ~producers:2 ~consumers:2
+      ~think:(fun () -> Sim_time.ms 20)
+      ()
+  in
+  let l = r.l and nem = r.nem in
   (* per-disruption recovery: time to the next successful client op *)
-  let successes = List.rev !success_times in
+  let successes = List.rev l.success_times in
   let recovery = Stats.Series.create () in
   let unrecovered = ref 0 in
   List.iter
@@ -817,39 +847,24 @@ let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
           | None -> incr unrecovered)
       | _ -> ())
     (Nemesis.trace nem);
-  let total = !ok + !maybe + !failed in
-  let errors =
-    Hashtbl.fold (fun e n acc -> (e, n) :: acc) taxonomy []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  (* linearizability pass: compositional, one WGL search per object *)
-  let lin =
-    if not check then []
-    else
-      Ck_history.entries history
-      |> Ck_history.split
-      |> List.filter_map (fun (obj, es) ->
-             Ck_model.for_object obj
-             |> Option.map (fun m ->
-                    (obj, Ck_wgl.check ?max_steps:lin_max_steps m es)))
-  in
+  let total = l.ok + l.maybe + l.failed in
   {
     ch_kind = kind;
     ch_seed = seed;
-    ch_ops_ok = !ok;
-    ch_ops_maybe = !maybe;
-    ch_ops_failed = !failed;
+    ch_ops_ok = l.ok;
+    ch_ops_maybe = l.maybe;
+    ch_ops_failed = l.failed;
     ch_success_rate =
-      (if total = 0 then 0. else float_of_int !ok /. float_of_int total);
-    ch_errors = errors;
-    ch_counter_confirmed = !confirmed_incr;
-    ch_counter_maybe = !maybe_incr;
-    ch_counter_final = !final_counter;
-    ch_adds_confirmed = Hashtbl.length confirmed_adds;
-    ch_adds_maybe = Hashtbl.length maybe_adds;
-    ch_consumed = List.length !consumed;
-    ch_remaining = List.length !remaining;
-    ch_removes_maybe = !maybe_removes;
+      (if total = 0 then 0. else float_of_int l.ok /. float_of_int total);
+    ch_errors = r.errors;
+    ch_counter_confirmed = l.incr_confirmed;
+    ch_counter_maybe = l.incr_maybe;
+    ch_counter_final = l.counter_final;
+    ch_adds_confirmed = Hashtbl.length l.adds_confirmed;
+    ch_adds_maybe = Hashtbl.length l.adds_maybe;
+    ch_consumed = List.length l.consumed;
+    ch_remaining = List.length l.remaining;
+    ch_removes_maybe = l.removes_maybe;
     ch_crashes = Nemesis.crashes nem;
     ch_leader_kills = Nemesis.leader_kills nem;
     ch_partitions = Nemesis.partitions nem;
@@ -859,14 +874,14 @@ let chaos_point ?(seed = 42) ?net_config ?zab_config ?server_config
     ch_dropped = sys.Systems.dropped_messages ();
     ch_recovery_ms = recovery;
     ch_unrecovered = !unrecovered;
-    ch_anomalies = anomalies;
-    ch_invariant_failures = List.rev !invariant_failures;
+    ch_anomalies = r.anomalies;
+    ch_invariant_failures = List.rev l.invariant_failures;
     ch_trace = Nemesis.trace_to_string nem;
-    ch_lin = lin;
-    ch_history_events = Ck_history.n_events history;
+    ch_lin = r.lin;
+    ch_history_events = r.history_events;
     ch_snap = sys.Systems.snapshot_stats ();
     ch_wire = sys.Systems.wire_stats ();
-    ch_reconfig = reconfig_summary_of_stats (sys.Systems.reconfig_stats ());
+    ch_reconfig = sys.Systems.reconfig_stats ();
     ch_reconfig_kills = Nemesis.reconfig_kills nem;
   }
 
@@ -884,7 +899,7 @@ type membership_point = {
   mp_members_final : int list;
   mp_grow_ms : float list;  (** add_replica -> stable config, per join *)
   mp_shrink_ms : float list;  (** remove accepted -> stable config *)
-  mp_reconfig : reconfig_summary;
+  mp_reconfig : Edc_replication.Zab.reconfig_stats;
   mp_reconfig_kills : int;
   mp_crashes : int;
   mp_leader_kills : int;
@@ -942,49 +957,9 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
   let sys =
     Systems.make ?net_config ~zab_config ~server_config kind sim
   in
-  let history = Ck_history.create ~sim () in
-  let maybe_wrap api = if check then Instrument.wrap history api else api in
-  let extensible = Systems.is_extensible kind in
   let ops_end = Sim_time.sec 21 in
-  let horizon = Sim_time.sec 16 in
-  let deadline =
-    Option.value Edc_core.Retry.default_policy.Edc_core.Retry.deadline
-      ~default:(Sim_time.sec 30)
-  in
-  let verify_at = Sim_time.add ops_end (Sim_time.add deadline (Sim_time.sec 1)) in
-  let ok = ref 0 and maybe = ref 0 and failed = ref 0 in
-  let taxonomy : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let tax e =
-    Hashtbl.replace taxonomy e
-      (1 + Option.value ~default:0 (Hashtbl.find_opt taxonomy e))
-  in
-  let success_times = ref [] in
-  let succeed () =
-    incr ok;
-    success_times := Sim.now sim :: !success_times
-  in
-  let classify e ~on_maybe =
-    if e = "maybe applied" then begin
-      on_maybe ();
-      incr maybe
-    end
-    else incr failed;
-    tax e
-  in
-  let confirmed_incr = ref 0 and maybe_incr = ref 0 in
-  let confirmed_adds : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let maybe_adds : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let consumed = ref [] in
-  let maybe_removes = ref 0 in
-  let invariant_failures = ref [] in
-  let invariant name cond =
-    if not cond then invariant_failures := name :: !invariant_failures
-  in
   let grow_ms = ref [] and shrink_ms = ref [] in
   let reconfig_marks = ref [] in  (* initiation times, for recovery windows *)
-  let nemesis = ref None in
-  let failure = ref None in
-  (* fiber-side helpers *)
   let wait_until ?(poll = Sim_time.ms 50) ~timeout pred =
     let wait_deadline = Sim_time.add (Sim.now sim) timeout in
     let rec go () =
@@ -1007,250 +982,112 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
     let phase = sin (2. *. Float.pi *. t /. 8.) in
     Sim_time.of_float_s (0.012 +. 0.016 *. (1. +. phase) /. 2.)
   in
-  Proc.spawn sim (fun () ->
-      try
-        let admin, _ = sys.Systems.new_api () in
-        fail_on_error "counter setup" (Counter.setup admin);
-        fail_on_error "queue setup" (Queue.setup admin);
-        if extensible then begin
-          fail_on_error "register counter" (Counter.register admin);
-          fail_on_error "register queue" (Queue.register admin)
-        end;
-        (* the only scheduled chaos: from t=8s, strike the leader within
-           120 ms whenever a reconfiguration is in flight *)
-        nemesis :=
-          Some
-            (Nemesis.start ~sim
-               ~target:(sys.Systems.nemesis_target ())
-               ~horizon
-               [
-                 {
-                   Nemesis.start = Sim_time.sec 8;
-                   period = Some (Sim_time.ms 1200);
-                   action =
-                     Nemesis.Reconfig_kill
-                       {
-                         grace = Sim_time.ms 120;
-                         downtime = Sim_time.ms 1200;
-                       };
-                 };
-               ]);
-        (* three counter incrementers on the diurnal curve *)
-        for _ = 1 to 3 do
-          Proc.spawn sim (fun () ->
-              let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-              if extensible then ack_if_ext api Counter.extension_name;
-              let rec loop () =
-                if Sim_time.(Sim.now sim < ops_end) then begin
-                  (match
-                     if extensible then Counter.increment_ext api
-                     else Counter.increment_traditional api
-                   with
-                  | Ok _ ->
-                      incr confirmed_incr;
-                      succeed ()
-                  | Error e ->
-                      classify e ~on_maybe:(fun () -> incr maybe_incr));
-                  Proc.sleep sim (diurnal_sleep ());
-                  loop ()
-                end
-              in
-              loop ())
-        done;
-        (* one producer / one consumer so the history spans two object
-           types across every config boundary *)
-        Proc.spawn sim (fun () ->
-            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-            if extensible then ack_if_ext api Queue.extension_name;
-            let i = ref 0 in
-            let rec loop () =
-              if Sim_time.(Sim.now sim < ops_end) then begin
-                incr i;
-                let eid = Queue.make_eid api !i in
-                (match Queue.add api ~eid ~data:eid with
-                | Ok () ->
-                    Hashtbl.replace confirmed_adds eid ();
-                    succeed ()
-                | Error e ->
-                    classify e ~on_maybe:(fun () ->
-                        Hashtbl.replace maybe_adds eid ()));
-                Proc.sleep sim (Sim_time.ms 40);
-                loop ()
-              end
-            in
-            loop ());
-        Proc.spawn sim (fun () ->
-            let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-            if extensible then ack_if_ext api Queue.extension_name;
-            let rec loop () =
-              if Sim_time.(Sim.now sim < ops_end) then begin
-                (match
-                   if extensible then Queue.remove_ext api
-                   else Queue.remove_traditional api
-                 with
-                | Ok { Queue.data = Some d; _ } ->
-                    consumed := d :: !consumed;
-                    succeed ()
-                | Ok { Queue.data = None; _ } ->
-                    succeed ();
-                    Proc.sleep sim (Sim_time.ms 60)
-                | Error e ->
-                    classify e ~on_maybe:(fun () -> incr maybe_removes));
-                Proc.sleep sim (Sim_time.ms 30);
-                loop ()
-              end
-            in
-            loop ());
-        (* the autoscaling driver: 3 -> 4 -> 5 -> 4 -> 3 *)
-        Proc.spawn sim (fun () ->
-            try
-              let grow ~cut_bootstrap ~timeout =
-                let t0 = Sim.now sim in
-                reconfig_marks := t0 :: !reconfig_marks;
-                match sys.Systems.add_replica () with
-                | Error e ->
-                    invariant (Printf.sprintf "add_replica accepted (%s)" e)
-                      false
-                | Ok lid ->
-                    if cut_bootstrap then
-                      Proc.spawn sim (fun () ->
-                          (* isolate the learner once its chunked bootstrap
-                             is demonstrably in flight; on heal the
-                             transfer must resume from chunk > 0 *)
-                          let tgt = sys.Systems.nemesis_target () in
-                          let peers =
-                            List.filter (fun n -> n <> lid)
-                              (sys.Systems.members ())
-                          in
-                          if
-                            wait_until ~poll:(Sim_time.ms 2)
-                              ~timeout:(Sim_time.sec 4) (fun () ->
-                                (sys.Systems.snapshot_stats ())
-                                  .Systems.ss_chunks_sent >= 3)
-                          then begin
-                            List.iter (fun o -> tgt.Nemesis.cut lid o) peers;
-                            Proc.sleep sim (Sim_time.ms 400);
-                            List.iter (fun o -> tgt.Nemesis.heal lid o) peers
-                          end);
-                    let n = List.length (sys.Systems.members ()) + 1 in
-                    if wait_until ~timeout (stable_members n) then
-                      grow_ms :=
-                        Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                        :: !grow_ms
-                    else
-                      invariant
-                        (Printf.sprintf "grow to %d members completed" n)
-                        false
-              in
-              let shrink ~id ~timeout =
-                let t0 = Sim.now sim in
-                reconfig_marks := t0 :: !reconfig_marks;
-                let accept_deadline =
-                  Sim_time.add (Sim.now sim) (Sim_time.sec 6)
+  (* the autoscaling driver: 3 -> 4 -> 5 -> 4 -> 3 *)
+  let driver ~invariant =
+    let grow ~cut_bootstrap ~timeout =
+      let t0 = Sim.now sim in
+      reconfig_marks := t0 :: !reconfig_marks;
+      match sys.Systems.add_replica () with
+      | Error e ->
+          invariant (Printf.sprintf "add_replica accepted (%s)" e) false
+      | Ok lid ->
+          if cut_bootstrap then
+            Proc.spawn sim (fun () ->
+                (* isolate the learner once its chunked bootstrap is
+                   demonstrably in flight; on heal the transfer must resume
+                   from chunk > 0 *)
+                let tgt = sys.Systems.nemesis_target () in
+                let peers =
+                  List.filter (fun n -> n <> lid) (sys.Systems.members ())
                 in
-                let rec request () =
-                  match sys.Systems.remove_replica id with
-                  | Ok () -> true
-                  | Error _ ->
-                      if Sim_time.(accept_deadline <= Sim.now sim) then false
-                      else begin
-                        Proc.sleep sim (Sim_time.ms 100);
-                        request ()
-                      end
-                in
-                if not (request ()) then
-                  invariant
-                    (Printf.sprintf "remove_replica %d accepted" id)
-                    false
-                else
-                  let n = List.length (sys.Systems.members ()) - 1 in
-                  if
-                    wait_until ~timeout (fun () ->
-                        stable_members n ()
-                        && not (List.mem id (sys.Systems.members ())))
-                  then
-                    shrink_ms :=
-                      Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0)
-                      :: !shrink_ms
-                  else
-                    invariant
-                      (Printf.sprintf "shrink past replica %d completed" id)
-                      false
-              in
-              Proc.sleep sim (Sim_time.sec 4);
-              (* join 1: clean of scheduled chaos (the nemesis arms at
-                 t=8s), but the learner's links are cut mid-bootstrap *)
-              grow ~cut_bootstrap:true ~timeout:(Sim_time.sec 8);
-              (* join 2 lands inside the nemesis window: the leader dies
-                 within 120 ms of the change getting underway *)
-              Proc.sleep sim (Sim_time.sec 4);
-              grow ~cut_bootstrap:false ~timeout:(Sim_time.sec 10);
-              Proc.sleep sim (Sim_time.ms 500);
-              (* scale back down under the same fire *)
-              shrink ~id:4 ~timeout:(Sim_time.sec 10);
-              shrink ~id:3 ~timeout:(Sim_time.sec 10)
-            with e -> failure := Some e)
-      with e -> failure := Some e);
-  Sim.run ~until:verify_at sim;
-  (match !failure with Some e -> raise e | None -> ());
-  (* final state through a fresh resilient client (fenced replicas must
-     refuse it, so it lands on a live member) *)
-  let final_counter = ref 0 in
-  let remaining = ref [] in
-  Proc.spawn sim (fun () ->
-      try
-        let api = maybe_wrap (fst (sys.Systems.new_resilient_api ())) in
-        (match api.Api.read ~oid:Counter.counter_oid with
-        | Ok (Some o) -> final_counter := int_of_string o.Api.data
-        | Ok None -> failwith "counter object vanished"
-        | Error e -> failwith ("final counter read: " ^ e));
-        match api.Api.sub_objects ~oid:Queue.root with
-        | Ok objs ->
-            remaining := List.map (fun (o : Api.obj) -> o.Api.data) objs
-        | Error e -> failwith ("final queue read: " ^ e)
-      with e -> failure := Some e);
-  Sim.run ~until:(Sim_time.add verify_at (Sim_time.sec 10)) sim;
-  (match !failure with Some e -> raise e | None -> ());
-  let nem = Option.get !nemesis in
-  let anomalies = sys.Systems.anomalies () in
+                if
+                  wait_until ~poll:(Sim_time.ms 2) ~timeout:(Sim_time.sec 4)
+                    (fun () ->
+                      (sys.Systems.snapshot_stats ()).Systems.ss_chunks_sent
+                      >= 3)
+                then begin
+                  List.iter (fun o -> tgt.Nemesis.cut lid o) peers;
+                  Proc.sleep sim (Sim_time.ms 400);
+                  List.iter (fun o -> tgt.Nemesis.heal lid o) peers
+                end);
+          let n = List.length (sys.Systems.members ()) + 1 in
+          if wait_until ~timeout (stable_members n) then
+            grow_ms :=
+              Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0) :: !grow_ms
+          else
+            invariant (Printf.sprintf "grow to %d members completed" n) false
+    in
+    let shrink ~id ~timeout =
+      let t0 = Sim.now sim in
+      reconfig_marks := t0 :: !reconfig_marks;
+      let accept_deadline = Sim_time.add (Sim.now sim) (Sim_time.sec 6) in
+      let rec request () =
+        match sys.Systems.remove_replica id with
+        | Ok () -> true
+        | Error _ ->
+            if Sim_time.(accept_deadline <= Sim.now sim) then false
+            else begin
+              Proc.sleep sim (Sim_time.ms 100);
+              request ()
+            end
+      in
+      if not (request ()) then
+        invariant (Printf.sprintf "remove_replica %d accepted" id) false
+      else
+        let n = List.length (sys.Systems.members ()) - 1 in
+        if
+          wait_until ~timeout (fun () ->
+              stable_members n ()
+              && not (List.mem id (sys.Systems.members ())))
+        then
+          shrink_ms :=
+            Sim_time.to_float_ms (Sim_time.sub (Sim.now sim) t0) :: !shrink_ms
+        else
+          invariant (Printf.sprintf "shrink past replica %d completed" id) false
+    in
+    Proc.sleep sim (Sim_time.sec 4);
+    (* join 1: clean of scheduled chaos (the nemesis arms at t=8s), but the
+       learner's links are cut mid-bootstrap *)
+    grow ~cut_bootstrap:true ~timeout:(Sim_time.sec 8);
+    (* join 2 lands inside the nemesis window: the leader dies within
+       120 ms of the change getting underway *)
+    Proc.sleep sim (Sim_time.sec 4);
+    grow ~cut_bootstrap:false ~timeout:(Sim_time.sec 10);
+    Proc.sleep sim (Sim_time.ms 500);
+    (* scale back down under the same fire *)
+    shrink ~id:4 ~timeout:(Sim_time.sec 10);
+    shrink ~id:3 ~timeout:(Sim_time.sec 10)
+  in
+  (* the only scheduled chaos: from t=8s, strike the leader within 120 ms
+     whenever a reconfiguration is in flight; one producer and one
+     consumer so the history spans two object types across every config
+     boundary *)
+  let r =
+    run_chaos ~sys ~check ?lin_max_steps
+      ~schedule:
+        [
+          {
+            Nemesis.start = Sim_time.sec 8;
+            period = Some (Sim_time.ms 1200);
+            action =
+              Nemesis.Reconfig_kill
+                { grace = Sim_time.ms 120; downtime = Sim_time.ms 1200 };
+          };
+        ]
+      ~horizon:(Sim_time.sec 16) ~ops_end ~incrementers:3 ~producers:1
+      ~consumers:1 ~think:diurnal_sleep ~driver ()
+  in
+  let l = r.l and nem = r.nem in
   let snap = sys.Systems.snapshot_stats () in
-  let reconfig = reconfig_summary_of_stats (sys.Systems.reconfig_stats ()) in
-  (* safety invariants: exactly the chaos ones, plus the membership
-     life-cycle outcomes *)
-  invariant "replication anomalies = 0" (anomalies = 0);
-  invariant "counter >= confirmed increments" (!final_counter >= !confirmed_incr);
-  invariant "counter <= confirmed + ambiguous increments"
-    (!final_counter <= !confirmed_incr + !maybe_incr);
-  let sorted_consumed = List.sort compare !consumed in
-  let rec has_dup = function
-    | a :: (b :: _ as rest) -> a = b || has_dup rest
-    | _ -> false
-  in
-  invariant "no queue element consumed twice" (not (has_dup sorted_consumed));
-  invariant "consumed elements were added"
-    (List.for_all
-       (fun d -> Hashtbl.mem confirmed_adds d || Hashtbl.mem maybe_adds d)
-       !consumed);
-  let consumed_set : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace consumed_set d ()) !consumed;
-  let remaining_set : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace remaining_set d ()) !remaining;
-  let missing =
-    Hashtbl.fold
-      (fun eid () acc ->
-        if Hashtbl.mem consumed_set eid || Hashtbl.mem remaining_set eid then
-          acc
-        else acc + 1)
-      confirmed_adds 0
-  in
-  invariant "lost queue elements covered by ambiguous removes"
-    (missing <= !maybe_removes);
+  let reconfig = sys.Systems.reconfig_stats () in
   let members_final = sys.Systems.members () in
-  invariant "membership returned to the original three"
+  invariant l "membership returned to the original three"
     (members_final = [ 0; 1; 2 ]);
-  invariant "both joins completed" (reconfig.rs_joins_completed >= 2);
-  invariant "both leaves completed" (reconfig.rs_leaves_completed >= 2);
-  invariant "interrupted learner bootstrap resumed from chunk > 0"
+  invariant l "both joins completed"
+    (reconfig.Edc_replication.Zab.joins_completed >= 2);
+  invariant l "both leaves completed"
+    (reconfig.Edc_replication.Zab.leaves_completed >= 2);
+  invariant l "interrupted learner bootstrap resumed from chunk > 0"
     (snap.Systems.ss_last_resume_from > 0);
   (* throughput: 500 ms buckets; steady state = the pre-reconfiguration
      plateau; recovery = time from each reconfiguration event until a
@@ -1265,7 +1102,7 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
       let i = int_of_float (Sim_time.to_float_s ts /. bucket) in
       if i >= 0 && i < Array.length rates then
         rates.(i) <- rates.(i) +. (1. /. bucket))
-    !success_times;
+    l.success_times;
   let mean_over lo hi =
     let sum = ref 0. and n = ref 0 in
     Array.iteri
@@ -1312,27 +1149,13 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
       rates;
     if !m = infinity then 0. else !m
   in
-  let errors =
-    Hashtbl.fold (fun e n acc -> (e, n) :: acc) taxonomy []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  let lin =
-    if not check then []
-    else
-      Ck_history.entries history
-      |> Ck_history.split
-      |> List.filter_map (fun (obj, es) ->
-             Ck_model.for_object obj
-             |> Option.map (fun m ->
-                    (obj, Ck_wgl.check ?max_steps:lin_max_steps m es)))
-  in
   {
     mp_kind = kind;
     mp_seed = seed;
-    mp_ops_ok = !ok;
-    mp_ops_maybe = !maybe;
-    mp_ops_failed = !failed;
-    mp_errors = errors;
+    mp_ops_ok = l.ok;
+    mp_ops_maybe = l.maybe;
+    mp_ops_failed = l.failed;
+    mp_errors = r.errors;
     mp_members_final = members_final;
     mp_grow_ms = List.rev !grow_ms;
     mp_shrink_ms = List.rev !shrink_ms;
@@ -1344,13 +1167,13 @@ let membership_point ?(seed = 42) ?net_config ?(check = true) ?lin_max_steps
     mp_trough_ops_s = trough;
     mp_recovery_s = List.rev !recovery_s;
     mp_unrecovered = !unrecovered;
-    mp_counter_confirmed = !confirmed_incr;
-    mp_counter_maybe = !maybe_incr;
-    mp_counter_final = !final_counter;
-    mp_anomalies = anomalies;
-    mp_invariant_failures = List.rev !invariant_failures;
-    mp_lin = lin;
-    mp_history_events = Ck_history.n_events history;
+    mp_counter_confirmed = l.incr_confirmed;
+    mp_counter_maybe = l.incr_maybe;
+    mp_counter_final = l.counter_final;
+    mp_anomalies = r.anomalies;
+    mp_invariant_failures = List.rev l.invariant_failures;
+    mp_lin = r.lin;
+    mp_history_events = r.history_events;
     mp_trace = Nemesis.trace_to_string nem;
     mp_snap = snap;
   }
@@ -1645,36 +1468,10 @@ let stale_read_point ?(seed = 42) ?net_config ~unsafe () =
   let cluster =
     Zk.Cluster.create ~n_replicas:3 ?net_config ~server_config ~zab_config sim
   in
-  let net = Zk.Cluster.net cluster in
-  let servers () = Zk.Cluster.servers cluster in
   let target =
-    {
-      Nemesis.name = "zookeeper";
-      nodes = [ 0; 1; 2 ];
-      leader =
-        (fun () ->
-          let ss = servers () in
-          let rec find i =
-            if i >= Array.length ss then None
-            else if Zk.Server.is_leader ss.(i) then Some i
-            else find (i + 1)
-          in
-          find 0);
-      crash = Zk.Cluster.crash_server cluster;
-      restart = Zk.Cluster.restart_server cluster;
-      cut = Net.cut_link net;
-      heal = Net.heal_link net;
-      cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-      heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-      silence = Net.set_node_down net;
-      unsilence = Net.set_node_up net;
-      reconfig_in_flight = (fun () -> false);
-      set_skew =
-        (fun node skew ->
-          let ss = servers () in
-          if node < Array.length ss then
-            Edc_replication.Zab.set_clock_skew (Zk.Server.zab ss.(node)) skew);
-    }
+    Zk.Cluster.nemesis_target cluster ~name:"zookeeper"
+      ~crash:(Zk.Cluster.crash_server cluster)
+      ~restart:(Zk.Cluster.restart_server cluster)
   in
   (* drifts stay inside the protocol's ±ε bound (10 ms): the safe run must
      survive them, which is exactly the 2ε margin's job *)

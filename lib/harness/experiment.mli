@@ -119,23 +119,6 @@ val lin_recipes_point :
   Systems.kind ->
   lin_point
 
-(** Membership-change outcomes aggregated over a run's replicas (see
-    {!Systems.t.reconfig_stats} for the aggregation rules). *)
-type reconfig_summary = {
-  rs_joins_attempted : int;
-  rs_joins_completed : int;
-  rs_leaves_attempted : int;
-  rs_leaves_completed : int;
-  rs_joint_commits : int;  (** joint \{old ∪ new\} entries committed *)
-  rs_finals_committed : int;  (** finalizing entries committed *)
-  rs_aborted : int;  (** joint entries truncated by a new leader's sync *)
-  rs_fenced : int;  (** fence notices sent to removed/stale replicas *)
-  rs_catchup_ms : float list;  (** learner bootstrap-to-promotion times *)
-}
-
-val reconfig_summary_of_stats :
-  Edc_replication.Zab.reconfig_stats -> reconfig_summary
-
 (** Availability under fault injection: counter + queue recipes on
     resilient sessions while a {!Edc_simnet.Nemesis} runs [schedule] until
     [horizon]; final state is read back and checked against what clients
@@ -182,8 +165,10 @@ type chaos_point = {
       (** serializer work during the run: frames encoded vs per-destination
           sends — the gap is the encode-once broadcast saving (zeros for
           the BFT deployments) *)
-  ch_reconfig : reconfig_summary;
-      (** membership-change activity (all-zero unless the run reconfigures) *)
+  ch_reconfig : Edc_replication.Zab.reconfig_stats;
+      (** membership-change activity aggregated over the replicas (see
+          {!Systems.t.reconfig_stats}); all-zero unless the run
+          reconfigures *)
   ch_reconfig_kills : int;
       (** leader kills the nemesis timed against an in-flight reconfig *)
 }
@@ -224,7 +209,7 @@ type membership_point = {
   mp_grow_ms : float list;
       (** add_replica call -> stable grown config, per join *)
   mp_shrink_ms : float list;  (** removal requested -> stable config *)
-  mp_reconfig : reconfig_summary;
+  mp_reconfig : Edc_replication.Zab.reconfig_stats;
   mp_reconfig_kills : int;
   mp_crashes : int;
   mp_leader_kills : int;

@@ -206,49 +206,38 @@ let wire_summary points =
       points
   end
 
-let reconfig_active (r : Experiment.reconfig_summary) =
-  r.Experiment.rs_joins_attempted + r.Experiment.rs_leaves_attempted
-  + r.Experiment.rs_joint_commits + r.Experiment.rs_fenced
-  > 0
+module Zab = Edc_replication.Zab
 
-let reconfig_row ~kind ~seed (r : Experiment.reconfig_summary) ~kills =
-  let catchup =
-    match r.Experiment.rs_catchup_ms with
-    | [] -> "-"
-    | ms ->
-        let n = List.length ms in
-        let sum = List.fold_left ( +. ) 0.0 ms in
-        let mx = List.fold_left Float.max 0.0 ms in
-        Printf.sprintf "%.0f/%.0f (%d)" (sum /. float_of_int n) mx n
-  in
-  Printf.printf "%-10s %5d | %4d/%-4d %4d/%-4d | %5d %5d %5d | %6d %5d | %s\n"
-    (Systems.kind_name kind) seed r.Experiment.rs_joins_attempted
-    r.Experiment.rs_joins_completed r.Experiment.rs_leaves_attempted
-    r.Experiment.rs_leaves_completed r.Experiment.rs_joint_commits
-    r.Experiment.rs_finals_committed r.Experiment.rs_aborted
-    r.Experiment.rs_fenced kills catchup
-
-let reconfig_header () =
-  Printf.printf "\n%-10s %5s | %9s %9s | %5s %5s %5s | %6s %5s | %s\n" "system"
-    "seed" "joins a/c" "leave a/c" "joint" "final" "abort" "fences" "kills"
-    "catchup ms avg/max (n)";
-  hline 96
-
-let reconfig_summary points =
+let reconfig_summary rows =
   (* membership-change activity; silent unless some run reconfigured *)
-  let active =
-    List.exists
-      (fun (p : Experiment.chaos_point) ->
-        reconfig_active p.Experiment.ch_reconfig)
-      points
+  let active (_, _, (r : Zab.reconfig_stats), _) =
+    r.Zab.joins_requested + r.Zab.leaves_requested + r.Zab.joint_commits
+    + r.Zab.fences
+    > 0
   in
-  if active then begin
-    reconfig_header ();
+  if List.exists active rows then begin
+    Printf.printf "\n%-10s %5s | %9s %9s | %5s %5s %5s | %6s %5s | %s\n"
+      "system" "seed" "joins a/c" "leave a/c" "joint" "final" "abort" "fences"
+      "kills" "catchup ms avg/max (n)";
+    hline 96;
     List.iter
-      (fun (p : Experiment.chaos_point) ->
-        reconfig_row ~kind:p.Experiment.ch_kind ~seed:p.Experiment.ch_seed
-          p.Experiment.ch_reconfig ~kills:p.Experiment.ch_reconfig_kills)
-      points
+      (fun (kind, seed, (r : Zab.reconfig_stats), kills) ->
+        let catchup =
+          match r.Zab.catchup_ms with
+          | [] -> "-"
+          | ms ->
+              let n = List.length ms in
+              let sum = List.fold_left ( +. ) 0.0 ms in
+              let mx = List.fold_left Float.max 0.0 ms in
+              Printf.sprintf "%.0f/%.0f (%d)" (sum /. float_of_int n) mx n
+        in
+        Printf.printf
+          "%-10s %5d | %4d/%-4d %4d/%-4d | %5d %5d %5d | %6d %5d | %s\n"
+          (Systems.kind_name kind) seed r.Zab.joins_requested
+          r.Zab.joins_completed r.Zab.leaves_requested r.Zab.leaves_completed
+          r.Zab.joint_commits r.Zab.finals_committed r.Zab.aborted r.Zab.fences
+          kills catchup)
+      rows
   end
 
 (* ------------------------------------------------------------------ *)
@@ -285,25 +274,6 @@ let membership_table points =
         (if p.Experiment.mp_invariant_failures = [] then "OK" else "BROKEN"))
     points
 
-let membership_reconfig_summary points =
-  reconfig_header ();
-  List.iter
-    (fun (p : Experiment.membership_point) ->
-      reconfig_row ~kind:p.Experiment.mp_kind ~seed:p.Experiment.mp_seed
-        p.Experiment.mp_reconfig ~kills:p.Experiment.mp_reconfig_kills)
-    points
-
-let membership_invariant_failures points =
-  List.iter
-    (fun (p : Experiment.membership_point) ->
-      List.iter
-        (fun f ->
-          Printf.printf "INVARIANT VIOLATED [%s seed=%d]: %s\n"
-            (Systems.kind_name p.Experiment.mp_kind)
-            p.Experiment.mp_seed f)
-        p.Experiment.mp_invariant_failures)
-    points
-
 let error_taxonomy points =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -321,16 +291,15 @@ let error_taxonomy points =
     List.iter (fun (e, n) -> Printf.printf "  %6d  %s\n" n e) all
   end
 
-let invariant_failures points =
+let invariant_failures rows =
   List.iter
-    (fun (p : Experiment.chaos_point) ->
+    (fun (kind, seed, failures) ->
       List.iter
         (fun f ->
           Printf.printf "INVARIANT VIOLATED [%s seed=%d]: %s\n"
-            (Systems.kind_name p.Experiment.ch_kind)
-            p.Experiment.ch_seed f)
-        p.Experiment.ch_invariant_failures)
-    points
+            (Systems.kind_name kind) seed f)
+        failures)
+    rows
 
 let fault_trace (p : Experiment.chaos_point) =
   Printf.printf "\nfault trace (%s, seed %d):\n%s"

@@ -60,29 +60,24 @@ val snapshot_summary : Experiment.chaos_point list -> unit
     recorded wire activity. *)
 val wire_summary : Experiment.chaos_point list -> unit
 
-(** Membership-change activity per chaos run (joins/leaves
-    attempted/completed, joint vs final commits, aborts, fences, targeted
-    leader kills, learner catch-up times); silent when no run
-    reconfigured. *)
-val reconfig_summary : Experiment.chaos_point list -> unit
+(** Membership-change activity, one row per [(kind, seed, stats,
+    targeted leader kills)] run: joins/leaves attempted/completed, joint vs
+    final commits, aborts, fences, learner catch-up times.  Silent when no
+    row reconfigured. *)
+val reconfig_summary :
+  (Systems.kind * int * Edc_replication.Zab.reconfig_stats * int) list -> unit
 
 (** One row per elastic-membership run: availability, final member set,
     steady vs trough throughput, recovery windows, bootstrap-resume proof
     and invariant verdict. *)
 val membership_table : Experiment.membership_point list -> unit
 
-(** The reconfiguration recap (same columns as {!reconfig_summary}) over
-    membership runs. *)
-val membership_reconfig_summary : Experiment.membership_point list -> unit
-
-(** Print every broken membership invariant (silent when intact). *)
-val membership_invariant_failures : Experiment.membership_point list -> unit
-
 (** Aggregate non-ok outcome counts across runs, most frequent first. *)
 val error_taxonomy : Experiment.chaos_point list -> unit
 
-(** Print every broken invariant (silent when all runs are intact). *)
-val invariant_failures : Experiment.chaos_point list -> unit
+(** Print every broken invariant of [(kind, seed, failures)] rows (silent
+    when all runs are intact). *)
+val invariant_failures : (Systems.kind * int * string list) list -> unit
 
 (** The timestamped fault schedule of one run (deterministic per seed). *)
 val fault_trace : Experiment.chaos_point -> unit

@@ -97,8 +97,9 @@ type t = {
 }
 
 (** [make ?net_config ?batch ?zab_config kind sim] — [batch] configures
-    replication group commit uniformly across deployments
-    ({!Edc_replication.Batching.off} when omitted).  [zab_config] applies
+    replication group commit uniformly across deployments: it replaces the
+    [batch] field of the Zab or PBFT config in effect (the protocol's
+    default batcher when omitted).  [zab_config] applies
     to the Zab-replicated deployments only (ZooKeeper/EZK; ignored for
     the BFT ones) — the linearizability mutation self-test uses it to
     re-enable a known-bad protocol behaviour.  [server_config] likewise

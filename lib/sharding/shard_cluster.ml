@@ -22,14 +22,7 @@ type t = {
   ishard : Two_pc.frame Transport.t;
 }
 
-let shard_leader t shard =
-  let servers = Cluster.servers t.groups.(shard) in
-  let rec find i =
-    if i >= Array.length servers then None
-    else if Server.is_leader servers.(i) then Some servers.(i)
-    else find (i + 1)
-  in
-  find 0
+let shard_leader t shard = Cluster.leader t.groups.(shard)
 
 let create ?(n_replicas = 3) ?net_config ?ishard_net_config ?server_config
     ?zab_config ~map sim =
@@ -102,30 +95,9 @@ let heal_shard t s =
     partitions, and clock skew inside any single shard. *)
 let nemesis_target t ~shard =
   let cluster = t.groups.(shard) in
-  let net = Cluster.net cluster in
-  {
-    Nemesis.name = Fmt.str "shard%d" shard;
-    nodes = List.init (Array.length (Cluster.servers cluster)) Fun.id;
-    leader =
-      (fun () ->
-        match shard_leader t shard with
-        | Some s -> Some (Server.id s)
-        | None -> None);
-    crash = (fun i -> Cluster.crash_server cluster i);
-    restart = (fun i -> Cluster.restart_server cluster i);
-    cut = Net.cut_link net;
-    heal = Net.heal_link net;
-    cut_one_way = (fun ~src ~dst -> Net.cut_link_one_way net ~src ~dst);
-    heal_one_way = (fun ~src ~dst -> Net.heal_link_one_way net ~src ~dst);
-    silence = Net.set_node_down net;
-    unsilence = Net.set_node_up net;
-    reconfig_in_flight = (fun () -> false);
-    set_skew =
-      (fun node skew ->
-        let servers = Cluster.servers cluster in
-        if node < Array.length servers then
-          Edc_replication.Zab.set_clock_skew (Server.zab servers.(node)) skew);
-  }
+  Cluster.nemesis_target cluster ~name:(Fmt.str "shard%d" shard)
+    ~crash:(Cluster.crash_server cluster)
+    ~restart:(Cluster.restart_server cluster)
 
 (* --- deployment-wide 2PC observations (checker inputs) --- *)
 

@@ -11,7 +11,6 @@ val create :
   ?net_config:Net.config ->
   ?server_config:Server.config ->
   ?zab_config:Edc_replication.Zab.config ->
-  ?batch:Edc_replication.Batching.config ->
   Sim.t ->
   t
 
@@ -53,6 +52,17 @@ val remove_server : t -> id:int -> (unit, string) result
 
 val crash_server : t -> int -> unit
 val restart_server : t -> int -> unit
+
+(** The Nemesis adapter for this ensemble: leader = the Zab leader;
+    a reconfiguration is in flight from learner adoption until the final
+    config entry commits.  [crash]/[restart] are the deployment's own
+    (EZK's restart also rebuilds the extension manager). *)
+val nemesis_target :
+  t ->
+  name:string ->
+  crash:(int -> unit) ->
+  restart:(int -> unit) ->
+  Nemesis.target
 
 (** Advance the simulation by a duration. *)
 val run_for : t -> Sim_time.t -> unit

@@ -201,6 +201,85 @@ let test_chaos_mixed_workload_with_crashes () =
       List.iter (fun c -> Alcotest.(check int) "replicas converged" c0 c) rest
   | [] -> ()
 
+(* Pinned outcomes of the harness chaos runs.  The simulator is
+   deterministic, so a refactor of the harness that keeps the order of
+   fiber spawns and RNG draws reproduces every count and the fault trace
+   exactly; any drift here is a behaviour change, not noise. *)
+
+module Experiment = Edc_harness.Experiment
+module Systems = Edc_harness.Systems
+
+let chaos_summary (p : Experiment.chaos_point) =
+  Printf.sprintf
+    "ok=%d maybe=%d failed=%d counter=%d consumed=%d remaining=%d \
+     events=%d inv=[%s] trace=%s"
+    p.Experiment.ch_ops_ok p.Experiment.ch_ops_maybe p.Experiment.ch_ops_failed
+    p.Experiment.ch_counter_final p.Experiment.ch_consumed
+    p.Experiment.ch_remaining p.Experiment.ch_history_events
+    (String.concat "; " p.Experiment.ch_invariant_failures)
+    (Digest.to_hex (Digest.string p.Experiment.ch_trace))
+
+let membership_summary (p : Experiment.membership_point) =
+  Printf.sprintf
+    "ok=%d maybe=%d failed=%d counter=%d members=%s events=%d inv=[%s] \
+     trace=%s"
+    p.Experiment.mp_ops_ok p.Experiment.mp_ops_maybe
+    p.Experiment.mp_ops_failed p.Experiment.mp_counter_final
+    (String.concat "," (List.map string_of_int p.Experiment.mp_members_final))
+    p.Experiment.mp_history_events
+    (String.concat "; " p.Experiment.mp_invariant_failures)
+    (Digest.to_hex (Digest.string p.Experiment.mp_trace))
+
+let chaos_pins =
+  [
+    ( Systems.Zookeeper,
+      "ok=2318 maybe=17 failed=0 counter=1370 consumed=443 remaining=17 \
+       events=8772 inv=[] trace=45ec5a4ba90bce51b605a2476847c14e" );
+    ( Systems.Ezk,
+      "ok=2364 maybe=30 failed=0 counter=1397 consumed=458 remaining=1 \
+       events=4792 inv=[] trace=45ec5a4ba90bce51b605a2476847c14e" );
+    ( Systems.Depspace,
+      "ok=3535 maybe=0 failed=0 counter=2047 consumed=719 remaining=1 \
+       events=12660 inv=[] trace=c59e1a8e78f7ac49cca7ff8b96ec257f" );
+    ( Systems.Eds,
+      "ok=3645 maybe=0 failed=0 counter=2127 consumed=718 remaining=2 \
+       events=7294 inv=[] trace=c59e1a8e78f7ac49cca7ff8b96ec257f" );
+  ]
+
+(* seed 43: both runs pass every invariant and the WGL pass *)
+let membership_pins =
+  [
+    ( Systems.Zookeeper,
+      43,
+      "ok=1256 maybe=2 failed=0 counter=846 members=0,1,2 events=8374 inv=[] \
+       trace=6d978515c255c7971e301e5560af17b4" );
+    ( Systems.Ezk,
+      43,
+      "ok=2498 maybe=4 failed=0 counter=1752 members=0,1,2 events=5008 inv=[] \
+       trace=ccd139608d62c94cdf9d22a26a4d819b" );
+  ]
+
+let test_chaos_point_pinned () =
+  List.iter
+    (fun (kind, expected) ->
+      let p = Experiment.chaos_point ~seed:7 ~horizon:(Sim_time.sec 12) kind in
+      Alcotest.(check string)
+        (Systems.kind_name kind) expected (chaos_summary p))
+    chaos_pins
+
+let test_membership_point_pinned () =
+  List.iter
+    (fun (kind, seed, expected) ->
+      let p = Experiment.membership_point ~seed kind in
+      let what = Printf.sprintf "%s seed %d" (Systems.kind_name kind) seed in
+      Alcotest.(check string) what expected (membership_summary p);
+      List.iter
+        (fun (obj, v) ->
+          if not (Edc_checker.Wgl.is_ok v) then
+            Alcotest.failf "%s: %s not linearizable" what obj)
+        p.Experiment.mp_lin)
+    membership_pins
+
 let () =
   Alcotest.run "edc_chaos"
     [
@@ -208,5 +287,12 @@ let () =
         [
           Alcotest.test_case "mixed extensions under crashes" `Slow
             test_chaos_mixed_workload_with_crashes;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "chaos_point outcomes, all four kinds" `Quick
+            test_chaos_point_pinned;
+          Alcotest.test_case "membership_point outcomes, ZooKeeper and EZK"
+            `Quick test_membership_point_pinned;
         ] );
     ]

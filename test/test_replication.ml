@@ -1048,7 +1048,7 @@ let test_ezk_batched_extension_atomic () =
   let module R = Edc_recipes in
   let sim = Sim.create ~seed:11 () in
   let batch = Batching.group_commit ~max_batch:16 ~sync_cost:(Sim_time.us 200) () in
-  let cluster = Edc_ezk.Ezk_cluster.create ~batch sim in
+  let cluster = Edc_ezk.Ezk_cluster.create ~zab_config:{ Zab.default_config with batch } sim in
   let n_clients = 5 and per_client = 10 in
   let successes = ref 0 in
   let failure = ref None in
